@@ -85,6 +85,8 @@ func compareSnapshots(oldS, newS *perfSnapshot, nsPct, allocPct float64) []compa
 		newRow("dinic_ns_op", oldS.DinicNsOp, newS.DinicNsOp, nsPct),
 		newRow("engine_event_ns", oldS.EngineEventNs, newS.EngineEventNs, nsPct),
 		newRow("cgroup_resize_ns_op", oldS.CgroupResizeNsOp, newS.CgroupResizeNsOp, nsPct),
+		newRow("rl_update_ns_op", oldS.RLUpdateNsOp, newS.RLUpdateNsOp, nsPct),
+		newRow("nn_matmul_ns_op", oldS.NNMatMulNsOp, newS.NNMatMulNsOp, nsPct),
 	}
 	// Shard rows compare only when both snapshots swept the same fleet
 	// size; a baseline predating the shard section (or a quick-vs-full

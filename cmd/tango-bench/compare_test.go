@@ -31,8 +31,8 @@ func TestCompareIdenticalSnapshotsClean(t *testing.T) {
 	if n, names := countRegressions(rows); n != 0 {
 		t.Fatalf("self compare regressed: %v", names)
 	}
-	if len(rows) != 5+2*3 {
-		t.Fatalf("row count = %d, want 11", len(rows))
+	if len(rows) != 7+2*3 {
+		t.Fatalf("row count = %d, want 13", len(rows))
 	}
 }
 
@@ -148,5 +148,21 @@ func TestCompareImprovementAndMissingSidesNeverRegress(t *testing.T) {
 	old.CgroupResizeNsOp = 0                                          // metric absent in old
 	if n, names := countRegressions(compareSnapshots(old, ns, 25, 10)); n != 0 {
 		t.Fatalf("improvement/missing rows regressed: %v", names)
+	}
+}
+
+// The learning-stack rows gate like the other ns/op rows, and a
+// baseline taken before they existed leaves them informational.
+func TestCompareLearningRows(t *testing.T) {
+	old := baseSnap()
+	old.RLUpdateNsOp, old.NNMatMulNsOp = 30e6, 150e3
+	ns := baseSnap()
+	ns.RLUpdateNsOp, ns.NNMatMulNsOp = 45e6, 140e3 // update +50%, matmul -7%
+	n, names := countRegressions(compareSnapshots(old, ns, 25, 10))
+	if n != 1 || names[0] != "rl_update_ns_op" {
+		t.Fatalf("regressions = %v, want [rl_update_ns_op]", names)
+	}
+	if n, names := countRegressions(compareSnapshots(baseSnap(), ns, 25, 10)); n != 0 {
+		t.Fatalf("rows missing from the baseline regressed: %v", names)
 	}
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -10,10 +12,15 @@ import (
 
 	"repro/internal/cgroup"
 	"repro/internal/core"
+	"repro/internal/dcgbe"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/flow"
+	"repro/internal/nn"
 	"repro/internal/perf"
 	"repro/internal/res"
+	"repro/internal/rl"
+	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
@@ -22,7 +29,8 @@ import (
 // future optimization PRs have a trajectory to compare against. Three
 // hot paths are timed: the DSS-LC-shaped min-cost-flow solve (and the
 // Dinic max-flow on the same graph), the end-to-end engine event rate
-// of a standard Tango run, and the cgroup two-level D-VPA resize. Each
+// of a standard Tango run, the cgroup two-level D-VPA resize, and the
+// DCG-BE learning stack (one A2C update and its widest matmul). Each
 // section also carries the phase profiler's per-phase ns/op and
 // allocation breakdown, which is what `tango-bench -compare` diffs.
 
@@ -56,6 +64,12 @@ type perfSnapshot struct {
 	// Cgroup: one D-VPA ResizePodAndContainer (up to 4 ordered limit
 	// writes) alternating between two limit pairs.
 	CgroupResizeNsOp float64 `json:"cgroup_resize_ns_op"`
+
+	// Learning stack: one DCG-BE A2C.Update over 32 transitions on the
+	// 16-node testbed graph, and one nn.MatMulInto at the actor's middle
+	// layer for that graph ((16×256 ReLU output)·(256×128 weights)).
+	RLUpdateNsOp float64 `json:"rl_update_ns_op,omitempty"`
+	NNMatMulNsOp float64 `json:"nn_matmul_ns_op,omitempty"`
 
 	// Shard: one cold sharded ScheduleRound per shard count over the
 	// standard scale-suite fleet (experiments.ShardRound: shard_nodes/20
@@ -166,6 +180,37 @@ func cgroupMicro() (func(), *cgroup.Hierarchy, error) {
 			panic(err)
 		}
 	}, h, nil
+}
+
+// learningMicro times the DCG-BE learning stack at the paper testbed's
+// shape: A2C.Update over 32 transitions with random states on the
+// scheduler's own graph, and the actor's widest matmul.
+func learningMicro(seed int64, budget time.Duration) (updateNs, matmulNs float64) {
+	e := engine.New(engine.Config{Sim: sim.New(), Topo: topo.PhysicalTestbed(),
+		Catalog: trace.DefaultCatalog(), Policy: engine.GreedyPolicy{}})
+	be := dcgbe.New(e, seed)
+	g := be.Graph()
+	agent := be.Agent.(*rl.A2C)
+	rng := rand.New(rand.NewSource(seed))
+	batch := make([]rl.Transition, 32)
+	for i := range batch {
+		x := nn.NewMat(g.N, dcgbe.FeatureDim)
+		for j := range x.Data {
+			x.Data[j] = rng.Float64()
+		}
+		batch[i] = rl.Transition{Graph: g, X: x, Action: rng.Intn(g.N), Reward: rng.Float64()}
+	}
+	agent.Update(batch) // sizes the layer buffers
+	updateNs = timeOp(budget, func() { agent.Update(batch) })
+
+	a, w := nn.NewMat(g.N, 256), nn.NewMat(256, 128)
+	for i := range a.Data {
+		a.Data[i] = math.Max(0, rng.NormFloat64())
+	}
+	nn.XavierInit(w, rng)
+	out := nn.MatMulInto(nil, a, w)
+	matmulNs = timeOp(budget, func() { out = nn.MatMulInto(out, a, w) })
+	return updateNs, matmulNs
 }
 
 func writePerfSnapshot(dir string, seed int64, quick bool) (string, error) {
@@ -289,6 +334,8 @@ func writePerfSnapshot(dir string, seed int64, quick bool) (string, error) {
 	}
 	snap.CgroupPhases = phaseRows(cp)
 
+	snap.RLUpdateNsOp, snap.NNMatMulNsOp = learningMicro(seed, budget)
+
 	path := filepath.Join(dir, "BENCH_"+snap.Date+".json")
 	f, err := os.Create(path)
 	if err != nil {
@@ -306,6 +353,7 @@ func writePerfSnapshot(dir string, seed int64, quick bool) (string, error) {
 	fmt.Printf("perf: solver %.0f ns/op (warm %.0f, %d/%d warm hits), dinic %.0f ns/op, engine %.0f ns/event (%d events), cgroup resize %.0f ns/op\n",
 		snap.SolverNsOp, snap.SolverWarmNsOp, snap.SolverWarmHits, snap.SolverSolves,
 		snap.DinicNsOp, snap.EngineEventNs, snap.EngineEvents, snap.CgroupResizeNsOp)
+	fmt.Printf("perf: rl update %.0f ns/op, nn matmul %.0f ns/op\n", snap.RLUpdateNsOp, snap.NNMatMulNsOp)
 	fmt.Printf("perf: shard round (%d nodes):", snap.ShardNodes)
 	for _, r := range snap.ShardRows {
 		fmt.Printf(" k=%d %.0fms (%.0f req/s)", r.Shards, r.WallMs, r.ReqsPerSec)

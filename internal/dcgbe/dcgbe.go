@@ -78,7 +78,7 @@ type Scheduler struct {
 	graph   *gnn.Graph
 	nodes   []*engine.Node
 	index   map[topo.NodeID]int
-	buffer  []rl.Transition
+	batch   []rl.Transition // train's batch, reused
 	pending []pendingReward
 	// completedWork accumulates Σ (cpu/cap + mem/cap) of BE completions
 	// since the last training interval (the r_long numerator).
@@ -96,17 +96,13 @@ type Scheduler struct {
 	// request type, so the policy distribution is reused. Keyed by
 	// (type, cluster) and cleared whenever the clock advances.
 	cacheAt  time.Duration
-	cacheMap map[cacheKey]*cacheEntry
+	cacheMap map[cacheKey][]float64
 	rng      *rand.Rand
 }
 
 type cacheKey struct {
 	t trace.TypeID
 	c topo.ClusterID
-}
-
-type cacheEntry struct {
-	probs []float64
 }
 
 type pendingReward struct {
@@ -162,10 +158,11 @@ func NewVariant(e *engine.Engine, v Variant, seed int64) *Scheduler {
 
 	s := &Scheduler{
 		Engine: e, Agent: ag, Eta: 1, TrainEvery: 32, MaxTrainBatch: 32,
-		Explore: true,
-		name:    name,
-		index:   map[topo.NodeID]int{},
-		rng:     rand.New(rand.NewSource(seed + 7)),
+		Explore:  true,
+		name:     name,
+		index:    map[topo.NodeID]int{},
+		cacheMap: map[cacheKey][]float64{},
+		rng:      rand.New(rand.NewSource(seed + 7)),
 	}
 	s.nodes = e.Nodes()
 	// Scale-adaptive cadence: on large fleets, train over longer
@@ -219,6 +216,9 @@ func buildGraph(t *topo.Topology, nodes []*engine.Node, index map[topo.NodeID]in
 
 // Name implements sched.Scheduler.
 func (s *Scheduler) Name() string { return s.name }
+
+// Graph returns the topology graph the encoder embeds.
+func (s *Scheduler) Graph() *gnn.Graph { return s.graph }
 
 // stateFeatures builds the N×7 state matrix for a request demand.
 func (s *Scheduler) stateFeatures(cpuDem, memDem int64) *nn.Mat {
@@ -315,25 +315,26 @@ func now(s *Scheduler) time.Duration { return s.Engine.Sim().Now() }
 // cached looks up the policy distribution computed earlier in the same
 // dispatch round for this (type, cluster) key. AllowFn masks depend only
 // on the request's cluster, so the key covers them.
-func (s *Scheduler) cached(at time.Duration, k cacheKey) (*cacheEntry, bool) {
-	if s.cacheAt != at || s.cacheMap == nil {
+func (s *Scheduler) cached(at time.Duration, k cacheKey) ([]float64, bool) {
+	if s.cacheAt != at {
 		s.cacheAt = at
-		s.cacheMap = map[cacheKey]*cacheEntry{}
+		clear(s.cacheMap)
 		return nil, false
 	}
-	e, ok := s.cacheMap[k]
-	return e, ok
+	p, ok := s.cacheMap[k]
+	return p, ok
 }
 
 // probsCached returns the policy distribution, reusing the one computed
-// for the same (type, cluster) at the same virtual instant.
+// for the same (type, cluster) at the same virtual instant. It keeps the
+// slice Probs returns, which Agent implementations hand out fresh.
 func (s *Scheduler) probsCached(at time.Duration, k cacheKey, x *nn.Mat, mask []bool) []float64 {
-	if e, ok := s.cached(at, k); ok {
+	if p, ok := s.cached(at, k); ok {
 		s.CacheHits++
-		return e.probs
+		return p
 	}
 	probs := s.Agent.Probs(s.graph, x, mask)
-	s.cacheMap[k] = &cacheEntry{probs: probs}
+	s.cacheMap[k] = probs
 	return probs
 }
 
@@ -423,23 +424,29 @@ func (s *Scheduler) train() {
 	}
 	rLong := 1 - math.Exp(-s.completedWork)
 	s.completedWork = 0
-	src := s.pending
-	if s.MaxTrainBatch > 0 && len(src) > s.MaxTrainBatch {
-		// Stride-subsample the interval to bound the training cost.
-		stride := float64(len(src)) / float64(s.MaxTrainBatch)
-		sampled := make([]pendingReward, 0, s.MaxTrainBatch)
-		for i := 0; i < s.MaxTrainBatch; i++ {
-			sampled = append(sampled, src[int(float64(i)*stride)])
-		}
-		src = sampled
-	}
-	batch := make([]rl.Transition, len(src))
-	for i, p := range src {
+	batch := s.batch[:0]
+	add := func(p pendingReward) {
 		p.tr.Reward = p.rShort + s.Eta*rLong
-		batch[i] = p.tr
+		batch = append(batch, p.tr)
 	}
+	if n := len(s.pending); s.MaxTrainBatch > 0 && n > s.MaxTrainBatch {
+		// Stride-subsample the interval to bound the training cost.
+		stride := float64(n) / float64(s.MaxTrainBatch)
+		for i := 0; i < s.MaxTrainBatch; i++ {
+			add(s.pending[int(float64(i)*stride)])
+		}
+	} else {
+		for _, p := range s.pending {
+			add(p)
+		}
+	}
+	// Drop the transitions' references so spent feature matrices can be
+	// collected while the buffers wait for the next interval.
+	clear(s.pending)
 	s.pending = s.pending[:0]
 	s.Agent.Update(batch)
+	clear(batch)
+	s.batch = batch
 	s.Updates++
 }
 

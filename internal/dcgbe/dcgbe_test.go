@@ -268,3 +268,35 @@ func TestLearnsToAvoidOverloadedCluster(t *testing.T) {
 		t.Fatalf("DCG-BE still overloads the tiny node: %.2f", frac)
 	}
 }
+
+// Steady-state Pick allocation budget. A cache-missing pick allocates
+// what the transition and the round cache keep: the feature matrix
+// (header and data), the context-filter mask and the fresh policy
+// distribution. Policy evaluation and the training it triggers every
+// TrainEvery picks allocate nothing, so the budget is pinned at the
+// testbed shape (16 workers) and must hold on a larger fleet too.
+func TestPickAllocationBudget(t *testing.T) {
+	const budget = 4
+	for _, clusters := range []int{8, 32} {
+		_, e, _ := env(clusters)
+		s := New(e, 5)
+		s.TrainEvery = 32
+		reqs := make([]*engine.Request, 64)
+		for i := range reqs {
+			reqs[i] = beReq(e, int64(i))
+		}
+		picks := func() {
+			for _, r := range reqs {
+				s.cacheAt = -1 // every pick opens a new dispatch round
+				s.Pick(r, nil)
+			}
+		}
+		picks() // sizes the layer buffers and the training batch
+		if n := testing.AllocsPerRun(2, picks) / float64(len(reqs)); n > budget {
+			t.Errorf("%d workers: %.2f allocs per Pick, budget %d", 2*clusters, n, budget)
+		}
+		if s.Updates < 4 {
+			t.Fatalf("%d workers: %d updates, want training inside the measured picks", 2*clusters, s.Updates)
+		}
+	}
+}

@@ -43,12 +43,15 @@ func NewGraph(n int, edges [][2]int) *Graph {
 	return g
 }
 
-// Encoder maps node features (N×F) to embeddings (N×D).
+// Encoder maps node features (N×F) to embeddings (N×D). Encoders follow
+// the nn package's buffer-ownership rules.
 type Encoder interface {
 	// Forward computes embeddings for the graph; it caches activations
-	// for Backward.
+	// for Backward. The result is the encoder's own output matrix, valid
+	// until the next Forward; x must stay unchanged until Backward.
 	Forward(g *Graph, x *nn.Mat) *nn.Mat
-	// Backward accumulates parameter gradients from dOut (N×D).
+	// Backward accumulates parameter gradients from dOut (N×D), which it
+	// may overwrite.
 	Backward(dOut *nn.Mat)
 	// Params returns the trainable parameters.
 	Params() []*nn.Param
@@ -57,13 +60,17 @@ type Encoder interface {
 }
 
 // sageLayer is one GraphSAGE aggregation: out = ReLU(mean(self∪N(i)) · W).
+// Its matrices and sample lists are reused across calls.
 type sageLayer struct {
 	w       *nn.Param
 	relu    nn.ReLU
 	g       *Graph
-	in      *nn.Mat
 	agg     *nn.Mat // cached aggregated input
+	out     *nn.Mat // layer output (ReLU applied in place)
+	dAgg    *nn.Mat
+	dIn     *nn.Mat
 	samples [][]int // neighbours actually sampled this forward
+	sampled []int   // backing store of the drawn samples, p per node
 	counts  []float64
 }
 
@@ -71,8 +78,9 @@ type sageLayer struct {
 type SAGE struct {
 	layers []*sageLayer
 	// P is the per-node neighbour sample size p (§5.3.2); 0 = all.
-	P   int
-	rng *rand.Rand
+	P    int
+	rng  *rand.Rand
+	perm []int // sampleNeighbors scratch
 }
 
 // NewSAGE builds a GraphSAGE encoder with the given layer dimensions
@@ -105,17 +113,27 @@ func (s *SAGE) Params() []*nn.Param {
 }
 
 // sampleNeighbors picks at most p neighbours without replacement
-// (paper's sampling step). With p <= 0 all neighbours are used.
-func sampleNeighbors(neigh []int, p int, rng *rand.Rand) []int {
+// (paper's sampling step) into dst (len ≥ p) and returns them. With
+// p <= 0 or at most p neighbours it returns neigh itself and draws
+// nothing. perm (len ≥ len(neigh)) is scratch for the permutation.
+func sampleNeighbors(neigh []int, p int, rng *rand.Rand, perm, dst []int) []int {
 	if p <= 0 || len(neigh) <= p {
 		return neigh
 	}
-	idx := rng.Perm(len(neigh))[:p]
-	out := make([]int, p)
-	for i, j := range idx {
-		out[i] = neigh[j]
+	// rng.Perm(len(neigh)) without its allocation: the same Intn calls
+	// in the same order (math/rand keeps Perm's stream fixed), so the
+	// sample and the generator state match it exactly.
+	perm = perm[:len(neigh)]
+	for i := range perm {
+		j := rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = i
 	}
-	return out
+	dst = dst[:p]
+	for i, j := range perm[:p] {
+		dst[i] = neigh[j]
+	}
+	return dst
 }
 
 // Forward implements Encoder.
@@ -125,16 +143,30 @@ func (s *SAGE) Forward(g *Graph, x *nn.Mat) *nn.Mat {
 	}
 	h := x
 	for _, l := range s.layers {
-		l.g, l.in = g, h
-		l.samples = make([][]int, g.N)
-		l.counts = make([]float64, g.N)
-		agg := nn.NewMat(g.N, h.C)
+		l.g = g
+		if cap(l.samples) < g.N {
+			l.samples = make([][]int, g.N)
+			l.counts = make([]float64, g.N)
+		}
+		l.samples, l.counts = l.samples[:g.N], l.counts[:g.N]
+		if s.P > 0 && cap(l.sampled) < g.N*s.P {
+			l.sampled = make([]int, g.N*s.P)
+		}
+		l.agg = nn.Reuse(l.agg, g.N, h.C)
 		for i := 0; i < g.N; i++ {
-			ns := sampleNeighbors(g.Neigh[i], s.P, s.rng)
+			neigh := g.Neigh[i]
+			if len(neigh) > len(s.perm) {
+				s.perm = make([]int, len(neigh))
+			}
+			var dst []int
+			if s.P > 0 {
+				dst = l.sampled[i*s.P : (i+1)*s.P]
+			}
+			ns := sampleNeighbors(neigh, s.P, s.rng, s.perm, dst)
 			l.samples[i] = ns
 			cnt := float64(len(ns) + 1)
 			l.counts[i] = cnt
-			row := agg.Row(i)
+			row := l.agg.Row(i)
 			copy(row, h.Row(i))
 			for _, j := range ns {
 				for c, v := range h.Row(j) {
@@ -145,13 +177,13 @@ func (s *SAGE) Forward(g *Graph, x *nn.Mat) *nn.Mat {
 				row[c] /= cnt
 			}
 		}
-		l.agg = agg
-		h = l.relu.Forward(nn.MatMul(agg, l.w.Val))
+		l.out = nn.MatMulInto(l.out, l.agg, l.w.Val)
+		h = l.relu.Forward(l.out)
 	}
 	return h
 }
 
-// Backward implements Encoder.
+// Backward implements Encoder. It gates dOut in place.
 func (s *SAGE) Backward(dOut *nn.Mat) {
 	d := dOut
 	for li := len(s.layers) - 1; li >= 0; li-- {
@@ -160,26 +192,30 @@ func (s *SAGE) Backward(dOut *nn.Mat) {
 			panic("gnn: SAGE.Backward before Forward")
 		}
 		dz := l.relu.Backward(d)
-		nn.AddInPlace(l.w.Grad, nn.MatMulTransA(l.agg, dz))
-		dAgg := nn.MatMulTransB(dz, l.w.Val)
+		nn.AddMatMulTransA(l.w.Grad, l.agg, dz)
+		if li == 0 {
+			break // the input features take no gradient
+		}
+		l.dAgg = nn.MatMulTransBInto(l.dAgg, dz, l.w.Val, nil)
 		// Distribute mean-aggregation gradient to self and sampled
 		// neighbours.
-		dIn := nn.NewMat(l.in.R, l.in.C)
+		l.dIn = nn.Reuse(l.dIn, l.agg.R, l.agg.C)
+		l.dIn.Zero()
 		for i := 0; i < l.g.N; i++ {
 			inv := 1.0 / l.counts[i]
-			src := dAgg.Row(i)
-			self := dIn.Row(i)
+			src := l.dAgg.Row(i)
+			self := l.dIn.Row(i)
 			for c, v := range src {
 				self[c] += v * inv
 			}
 			for _, j := range l.samples[i] {
-				dst := dIn.Row(j)
+				dst := l.dIn.Row(j)
 				for c, v := range src {
 					dst[c] += v * inv
 				}
 			}
 		}
-		d = dIn
+		d = l.dIn
 	}
 }
 
@@ -188,11 +224,12 @@ func (s *SAGE) Backward(dOut *nn.Mat) {
 type GCN struct {
 	ws    []*nn.Param
 	relus []nn.ReLU
-	// caches
-	g    *Graph
-	ins  []*nn.Mat
-	aggs []*nn.Mat
-	norm []float64 // 1/sqrt(deg+1)
+	// caches and buffers, one per layer where Backward needs them
+	g         *Graph
+	aggs      []*nn.Mat // Â H per layer
+	outs      []*nn.Mat // layer outputs (ReLU applied in place)
+	dAgg, dIn *nn.Mat
+	norm      []float64 // 1/sqrt(deg+1)
 }
 
 // NewGCN builds a GCN with the given layer dims.
@@ -207,6 +244,8 @@ func NewGCN(rng *rand.Rand, dims ...int) *GCN {
 		g.ws = append(g.ws, &nn.Param{Name: fmt.Sprintf("gcn%d.W", i), Val: w, Grad: nn.NewMat(dims[i], dims[i+1])})
 		g.relus = append(g.relus, nn.ReLU{})
 	}
+	g.aggs = make([]*nn.Mat, len(g.ws))
+	g.outs = make([]*nn.Mat, len(g.ws))
 	return g
 }
 
@@ -216,8 +255,10 @@ func (g *GCN) Name() string { return "GCN" }
 // Params implements Encoder.
 func (g *GCN) Params() []*nn.Param { return g.ws }
 
-func (g *GCN) propagate(gr *Graph, h *nn.Mat) *nn.Mat {
-	out := nn.NewMat(h.R, h.C)
+// propagateInto writes Â h into out (reused) and returns it.
+func (g *GCN) propagateInto(out *nn.Mat, gr *Graph, h *nn.Mat) *nn.Mat {
+	out = nn.Reuse(out, h.R, h.C)
+	out.Zero()
 	for i := 0; i < gr.N; i++ {
 		di := g.norm[i]
 		row := out.Row(i)
@@ -240,31 +281,35 @@ func (g *GCN) Forward(gr *Graph, x *nn.Mat) *nn.Mat {
 		panic("gnn: GCN feature rows mismatch")
 	}
 	g.g = gr
-	g.norm = make([]float64, gr.N)
+	if cap(g.norm) < gr.N {
+		g.norm = make([]float64, gr.N)
+	}
+	g.norm = g.norm[:gr.N]
 	for i := range g.norm {
 		g.norm[i] = 1 / math.Sqrt(float64(len(gr.Neigh[i])+1))
 	}
-	g.ins = g.ins[:0]
-	g.aggs = g.aggs[:0]
 	h := x
 	for i := range g.ws {
-		g.ins = append(g.ins, h)
-		agg := g.propagate(gr, h)
-		g.aggs = append(g.aggs, agg)
-		h = g.relus[i].Forward(nn.MatMul(agg, g.ws[i].Val))
+		g.aggs[i] = g.propagateInto(g.aggs[i], gr, h)
+		g.outs[i] = nn.MatMulInto(g.outs[i], g.aggs[i], g.ws[i].Val)
+		h = g.relus[i].Forward(g.outs[i])
 	}
 	return h
 }
 
 // Backward implements Encoder. Â is symmetric, so the adjoint of the
-// propagation is the propagation itself.
+// propagation is the propagation itself. It gates dOut in place.
 func (g *GCN) Backward(dOut *nn.Mat) {
 	d := dOut
 	for li := len(g.ws) - 1; li >= 0; li-- {
 		dz := g.relus[li].Backward(d)
-		nn.AddInPlace(g.ws[li].Grad, nn.MatMulTransA(g.aggs[li], dz))
-		dAgg := nn.MatMulTransB(dz, g.ws[li].Val)
-		d = g.propagate(g.g, dAgg)
+		nn.AddMatMulTransA(g.ws[li].Grad, g.aggs[li], dz)
+		if li == 0 {
+			break // the input features take no gradient
+		}
+		g.dAgg = nn.MatMulTransBInto(g.dAgg, dz, g.ws[li].Val, nil)
+		g.dIn = g.propagateInto(g.dIn, g.g, g.dAgg)
+		d = g.dIn
 	}
 }
 
@@ -276,9 +321,12 @@ type GAT struct {
 	as    []*nn.Param // attention vectors, 1 × 2*out
 	relus []nn.ReLU
 	g     *Graph
-	ins   []*nn.Mat
+	ins   []*nn.Mat     // layer inputs
 	atts  [][][]float64 // per layer, per node: attention over self+neighbours
 	whs   []*nn.Mat     // transformed features per layer
+	outs  []*nn.Mat     // layer outputs (ReLU applied in place)
+	dWH   *nn.Mat
+	dIn   *nn.Mat
 }
 
 // NewGAT builds a GAT with the given layer dims.
@@ -296,6 +344,10 @@ func NewGAT(rng *rand.Rand, dims ...int) *GAT {
 		g.as = append(g.as, &nn.Param{Name: fmt.Sprintf("gat%d.a", i), Val: a, Grad: nn.NewMat(1, 2*dims[i+1])})
 		g.relus = append(g.relus, nn.ReLU{})
 	}
+	g.ins = make([]*nn.Mat, len(g.ws))
+	g.atts = make([][][]float64, len(g.ws))
+	g.whs = make([]*nn.Mat, len(g.ws))
+	g.outs = make([]*nn.Mat, len(g.ws))
 	return g
 }
 
@@ -324,15 +376,14 @@ func (g *GAT) Forward(gr *Graph, x *nn.Mat) *nn.Mat {
 		panic("gnn: GAT feature rows mismatch")
 	}
 	g.g = gr
-	g.ins = g.ins[:0]
-	g.atts = g.atts[:0]
-	g.whs = g.whs[:0]
 	h := x
 	for li := range g.ws {
-		g.ins = append(g.ins, h)
-		wh := nn.MatMul(h, g.ws[li].Val)
-		g.whs = append(g.whs, wh)
-		out := nn.NewMat(gr.N, wh.C)
+		g.ins[li] = h
+		wh := nn.MatMulInto(g.whs[li], h, g.ws[li].Val)
+		g.whs[li] = wh
+		out := nn.Reuse(g.outs[li], gr.N, wh.C)
+		out.Zero()
+		g.outs[li] = out
 		att := make([][]float64, gr.N)
 		avec := g.as[li].Val.Data
 		d := wh.C
@@ -357,34 +408,41 @@ func (g *GAT) Forward(gr *Graph, x *nn.Mat) *nn.Mat {
 				}
 			}
 		}
-		g.atts = append(g.atts, att)
+		g.atts[li] = att
 		h = g.relus[li].Forward(out)
 	}
 	return h
 }
 
 // Backward implements Encoder (value path only; attention coefficients
-// fixed).
+// fixed). It gates dOut in place.
 func (g *GAT) Backward(dOut *nn.Mat) {
 	d := dOut
 	for li := len(g.ws) - 1; li >= 0; li-- {
 		dz := g.relus[li].Backward(d)
 		wh := g.whs[li]
 		// dWH[j] = sum over i of att_i[j] * dz[i]
-		dWH := nn.NewMat(wh.R, wh.C)
+		g.dWH = nn.Reuse(g.dWH, wh.R, wh.C)
+		g.dWH.Zero()
 		for i := 0; i < g.g.N; i++ {
-			cand := append([]int{i}, g.g.Neigh[i]...)
 			src := dz.Row(i)
-			for ci, j := range cand {
-				a := g.atts[li][i][ci]
-				dst := dWH.Row(j)
+			for ci, a := range g.atts[li][i] {
+				j := i
+				if ci > 0 {
+					j = g.g.Neigh[i][ci-1]
+				}
+				dst := g.dWH.Row(j)
 				for c, v := range src {
 					dst[c] += a * v
 				}
 			}
 		}
-		nn.AddInPlace(g.ws[li].Grad, nn.MatMulTransA(g.ins[li], dWH))
-		d = nn.MatMulTransB(dWH, g.ws[li].Val)
+		nn.AddMatMulTransA(g.ws[li].Grad, g.ins[li], g.dWH)
+		if li == 0 {
+			break // the input features take no gradient
+		}
+		g.dIn = nn.MatMulTransBInto(g.dIn, g.dWH, g.ws[li].Val, nil)
+		d = g.dIn
 	}
 }
 

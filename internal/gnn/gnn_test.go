@@ -43,7 +43,8 @@ func TestNewGraph(t *testing.T) {
 func TestSampleNeighbors(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	neigh := []int{1, 2, 3, 4, 5}
-	got := sampleNeighbors(neigh, 3, rng)
+	perm, dst := make([]int, 5), make([]int, 3)
+	got := sampleNeighbors(neigh, 3, rng, perm, dst)
 	if len(got) != 3 {
 		t.Fatalf("sampled %d, want 3", len(got))
 	}
@@ -54,11 +55,43 @@ func TestSampleNeighbors(t *testing.T) {
 		}
 		seen[v] = true
 	}
-	if len(sampleNeighbors(neigh, 0, rng)) != 5 {
+	if len(sampleNeighbors(neigh, 0, rng, perm, nil)) != 5 {
 		t.Fatal("p=0 should use all")
 	}
-	if len(sampleNeighbors(neigh, 10, rng)) != 5 {
+	if len(sampleNeighbors(neigh, 10, rng, perm, make([]int, 10))) != 5 {
 		t.Fatal("p>deg should use all")
+	}
+}
+
+// TestSampleNeighborsMatchesPerm pins the allocation-free sampler to
+// the draw it replaced, the first p entries of rng.Perm: same sample,
+// same generator state afterwards.
+func TestSampleNeighborsMatchesPerm(t *testing.T) {
+	neigh := []int{10, 11, 12, 13, 14, 15, 16, 17, 18}
+	perm, dst := make([]int, len(neigh)), make([]int, 4)
+	for deg := 1; deg <= len(neigh); deg++ {
+		for p := 1; p <= 4; p++ {
+			a, b := rand.New(rand.NewSource(int64(deg*10+p))), rand.New(rand.NewSource(int64(deg*10+p)))
+			got := sampleNeighbors(neigh[:deg], p, a, perm, dst)
+			want := neigh[:deg]
+			if deg > p {
+				if len(got) != p {
+					t.Fatalf("deg %d p %d: sampled %d", deg, p, len(got))
+				}
+				want = nil
+				for _, j := range b.Perm(deg)[:p] {
+					want = append(want, neigh[j])
+				}
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("deg %d p %d: sample %v, want %v", deg, p, got, want)
+				}
+			}
+			if a.Int63() != b.Int63() {
+				t.Fatalf("deg %d p %d: generator state diverged", deg, p)
+			}
+		}
 	}
 }
 

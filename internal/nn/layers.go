@@ -16,19 +16,13 @@ type Param struct {
 // ZeroGrad clears the accumulated gradient.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
-// Layer is one differentiable stage: Forward caches what Backward needs;
-// Backward consumes dOut (∂L/∂output) and returns ∂L/∂input while
-// accumulating parameter gradients.
-type Layer interface {
-	Forward(x *Mat) *Mat
-	Backward(dOut *Mat) *Mat
-	Params() []*Param
-}
-
-// Dense is a fully-connected layer: y = xW + b.
+// Dense is a fully-connected layer: y = xW + b. It owns its output and
+// input-gradient matrices and keeps a reference to its input.
 type Dense struct {
 	W, B *Param
 	x    *Mat // cached input
+	y    *Mat // output, reused across calls
+	dx   *Mat // ∂L/∂input, reused across calls
 }
 
 // NewDense creates a Dense layer with Xavier-initialized weights.
@@ -44,103 +38,106 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 // Forward computes xW + b for a batch x (rows = samples).
 func (d *Dense) Forward(x *Mat) *Mat {
 	d.x = x
-	out := MatMul(x, d.W.Val)
-	for i := 0; i < out.R; i++ {
-		row := out.Row(i)
+	d.y = MatMulInto(d.y, x, d.W.Val)
+	for i := 0; i < d.y.R; i++ {
+		row := d.y.Row(i)
 		for j, b := range d.B.Val.Data {
 			row[j] += b
 		}
 	}
-	return out
+	return d.y
 }
 
 // Backward accumulates dW = xᵀ·dOut, dB = Σrows dOut, returns dOut·Wᵀ.
-func (d *Dense) Backward(dOut *Mat) *Mat {
+func (d *Dense) Backward(dOut *Mat) *Mat { return d.backward(dOut, nil) }
+
+// backward is Backward with the returned gradient gated by the mask of
+// the ReLU that produced this layer's input (nil = ungated), which
+// saves computing the entries that ReLU.Backward would zero.
+func (d *Dense) backward(dOut *Mat, gate []bool) *Mat {
 	if d.x == nil {
 		panic("nn: Dense.Backward before Forward")
 	}
-	AddInPlace(d.W.Grad, MatMulTransA(d.x, dOut))
+	AddMatMulTransA(d.W.Grad, d.x, dOut)
 	for i := 0; i < dOut.R; i++ {
 		row := dOut.Row(i)
 		for j, v := range row {
 			d.B.Grad.Data[j] += v
 		}
 	}
-	return MatMulTransB(dOut, d.W.Val)
+	d.dx = MatMulTransBInto(d.dx, dOut, d.W.Val, gate)
+	return d.dx
 }
 
 // Params returns the layer's trainables.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
-// ReLU is the rectified linear activation.
+// ReLU is the rectified linear activation. It works in place: Forward
+// rectifies the matrix it is given and Backward gates the gradient it
+// is given, so neither holds a buffer of its own beyond the mask.
 type ReLU struct {
 	mask []bool
 }
 
-// Forward zeroes negatives and remembers the active mask.
+// Forward zeroes the negatives of x in place, remembers the active
+// mask, and returns x.
 func (r *ReLU) Forward(x *Mat) *Mat {
-	out := x.Clone()
-	if cap(r.mask) < len(out.Data) {
-		r.mask = make([]bool, len(out.Data))
+	if cap(r.mask) < len(x.Data) {
+		r.mask = make([]bool, len(x.Data))
 	}
-	r.mask = r.mask[:len(out.Data)]
-	for i, v := range out.Data {
+	r.mask = r.mask[:len(x.Data)]
+	for i, v := range x.Data {
 		if v > 0 {
 			r.mask[i] = true
 		} else {
 			r.mask[i] = false
-			out.Data[i] = 0
+			x.Data[i] = 0
 		}
 	}
-	return out
+	return x
 }
 
-// Backward gates the gradient by the forward mask.
+// Backward gates dOut by the forward mask in place and returns it.
 func (r *ReLU) Backward(dOut *Mat) *Mat {
-	out := dOut.Clone()
-	for i := range out.Data {
+	for i := range dOut.Data {
 		if !r.mask[i] {
-			out.Data[i] = 0
+			dOut.Data[i] = 0
 		}
 	}
-	return out
+	return dOut
 }
 
-// Params returns nil (no trainables).
-func (r *ReLU) Params() []*Param { return nil }
-
-// Tanh activation (used by the SAC baseline's squashing).
+// Tanh activation (used by the SAC baseline's squashing). It owns its
+// output, which Backward reads, and its input gradient.
 type Tanh struct {
-	y *Mat
+	y, dx *Mat
 }
 
 // Forward applies tanh element-wise.
 func (t *Tanh) Forward(x *Mat) *Mat {
-	out := x.Clone()
-	for i, v := range out.Data {
-		out.Data[i] = math.Tanh(v)
+	t.y = Reuse(t.y, x.R, x.C)
+	for i, v := range x.Data {
+		t.y.Data[i] = math.Tanh(v)
 	}
-	t.y = out
-	return out
+	return t.y
 }
 
 // Backward multiplies by 1 - y².
 func (t *Tanh) Backward(dOut *Mat) *Mat {
-	out := dOut.Clone()
-	for i := range out.Data {
+	t.dx = Reuse(t.dx, dOut.R, dOut.C)
+	for i, g := range dOut.Data {
 		y := t.y.Data[i]
-		out.Data[i] *= 1 - y*y
+		t.dx.Data[i] = g * (1 - y*y)
 	}
-	return out
+	return t.dx
 }
-
-// Params returns nil.
-func (t *Tanh) Params() []*Param { return nil }
 
 // MLP is a feed-forward stack: Dense→ReLU repeated, final Dense linear.
 // The paper's actor and critic are MLPs with hidden sizes 256/128/32.
 type MLP struct {
-	layers []Layer
+	dense  []*Dense
+	relu   []ReLU // relu[i] follows dense[i]
+	params []*Param
 }
 
 // NewMLP builds an MLP with the given layer sizes, e.g.
@@ -149,40 +146,41 @@ func NewMLP(rng *rand.Rand, sizes ...int) *MLP {
 	if len(sizes) < 2 {
 		panic("nn: MLP needs at least input and output sizes")
 	}
-	m := &MLP{}
+	m := &MLP{relu: make([]ReLU, len(sizes)-2)}
 	for i := 0; i+1 < len(sizes); i++ {
-		m.layers = append(m.layers, NewDense(sizes[i], sizes[i+1], rng))
-		if i+2 < len(sizes) {
-			m.layers = append(m.layers, &ReLU{})
-		}
+		d := NewDense(sizes[i], sizes[i+1], rng)
+		m.dense = append(m.dense, d)
+		m.params = append(m.params, d.Params()...)
 	}
+	// Full capacity: a caller appending to Params() always copies.
+	m.params = m.params[:len(m.params):len(m.params)]
 	return m
 }
 
-// Forward runs the stack.
+// Forward runs the stack. The result is the last layer's output buffer.
 func (m *MLP) Forward(x *Mat) *Mat {
-	for _, l := range m.layers {
-		x = l.Forward(x)
+	for i, d := range m.dense {
+		x = d.Forward(x)
+		if i < len(m.relu) {
+			x = m.relu[i].Forward(x)
+		}
 	}
 	return x
 }
 
-// Backward runs the stack in reverse, returning ∂L/∂input.
+// Backward runs the stack in reverse, returning ∂L/∂input (the first
+// layer's input-gradient buffer). Each ReLU's backward pass is fused
+// into the dense layer above it.
 func (m *MLP) Backward(dOut *Mat) *Mat {
-	for i := len(m.layers) - 1; i >= 0; i-- {
-		dOut = m.layers[i].Backward(dOut)
+	for i := len(m.dense) - 1; i > 0; i-- {
+		dOut = m.dense[i].backward(dOut, m.relu[i-1].mask)
 	}
-	return dOut
+	return m.dense[0].Backward(dOut)
 }
 
-// Params collects all trainables.
-func (m *MLP) Params() []*Param {
-	var ps []*Param
-	for _, l := range m.layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
-}
+// Params returns all trainables, in layer order. The slice is shared;
+// callers must not modify it.
+func (m *MLP) Params() []*Param { return m.params }
 
 // ZeroGrad clears all parameter gradients.
 func (m *MLP) ZeroGrad() {

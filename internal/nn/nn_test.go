@@ -44,7 +44,7 @@ func TestFromSlice(t *testing.T) {
 func TestMatMul(t *testing.T) {
 	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := FromSlice(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	c := MatMul(a, b)
+	c := MatMulInto(nil, a, b)
 	want := []float64{58, 64, 139, 154}
 	for i, w := range want {
 		if c.Data[i] != w {
@@ -56,27 +56,32 @@ func TestMatMul(t *testing.T) {
 func TestMatMulTranspose(t *testing.T) {
 	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := FromSlice(2, 2, []float64{1, 0, 0, 1})
-	// aᵀ b where b is identity: result = aᵀ.
-	c := MatMulTransA(a, b)
-	if c.R != 3 || c.C != 2 || c.At(0, 1) != 4 || c.At(2, 0) != 3 {
-		t.Fatalf("MatMulTransA = %+v", c)
+	// aᵀ b where b is identity: result = aᵀ, added onto ones.
+	c := FromSlice(3, 2, []float64{1, 1, 1, 1, 1, 1})
+	AddMatMulTransA(c, a, b)
+	if c.At(0, 1) != 5 || c.At(2, 0) != 4 {
+		t.Fatalf("AddMatMulTransA = %+v", c)
 	}
 	// a bᵀ with identity: a itself.
-	d := MatMulTransB(a, FromSlice(3, 3, []float64{1, 0, 0, 0, 1, 0, 0, 0, 1}))
+	d := MatMulTransBInto(nil, a, FromSlice(3, 3, []float64{1, 0, 0, 0, 1, 0, 0, 0, 1}), nil)
 	for i := range a.Data {
 		if d.Data[i] != a.Data[i] {
-			t.Fatal("MatMulTransB with identity not identity")
+			t.Fatal("MatMulTransBInto with identity not identity")
 		}
 	}
 }
 
 func TestShapePanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"newmat":   func() { NewMat(0, 1) },
-		"matmul":   func() { MatMul(NewMat(2, 3), NewMat(2, 3)) },
-		"add":      func() { AddInPlace(NewMat(1, 2), NewMat(2, 1)) },
-		"concat":   func() { ConcatCols(NewMat(1, 2), NewMat(2, 2)) },
-		"mlp tiny": func() { NewMLP(rand.New(rand.NewSource(1)), 4) },
+		"newmat":       func() { NewMat(0, 1) },
+		"matmul":       func() { MatMulInto(nil, NewMat(2, 3), NewMat(2, 3)) },
+		"matmulTB":     func() { MatMulTransBInto(nil, NewMat(2, 3), NewMat(2, 2), nil) },
+		"matmulTA":     func() { AddMatMulTransA(NewMat(3, 3), NewMat(2, 3), NewMat(3, 3)) },
+		"matmulTA dst": func() { AddMatMulTransA(NewMat(2, 2), NewMat(2, 3), NewMat(2, 3)) },
+		"reuse":        func() { Reuse(NewMat(2, 2), 0, 1) },
+		"add":          func() { AddInPlace(NewMat(1, 2), NewMat(2, 1)) },
+		"concat":       func() { ConcatCols(NewMat(1, 2), NewMat(2, 2)) },
+		"mlp tiny":     func() { NewMLP(rand.New(rand.NewSource(1)), 4) },
 	} {
 		func() {
 			defer func() {
@@ -91,7 +96,7 @@ func TestShapePanics(t *testing.T) {
 
 func TestMeanRows(t *testing.T) {
 	m := FromSlice(2, 2, []float64{1, 3, 3, 5})
-	mean := MeanRows(m)
+	mean := MeanRowsInto(nil, m)
 	if mean.At(0, 0) != 2 || mean.At(0, 1) != 4 {
 		t.Fatalf("MeanRows = %v", mean.Data)
 	}
@@ -370,9 +375,9 @@ func TestQuickMatMulLinear(t *testing.T) {
 		}
 		sum := a.Clone()
 		AddInPlace(sum, b)
-		left := MatMul(sum, cm)
-		right := MatMul(a, cm)
-		AddInPlace(right, MatMul(b, cm))
+		left := MatMulInto(nil, sum, cm)
+		right := MatMulInto(nil, a, cm)
+		AddInPlace(right, MatMulInto(nil, b, cm))
 		for i := range left.Data {
 			if math.Abs(left.Data[i]-right.Data[i]) > 1e-9 {
 				return false

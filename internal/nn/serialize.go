@@ -38,6 +38,10 @@ func LoadParams(r io.Reader, params []*Param) error {
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
 		return fmt.Errorf("nn: load params: %w", err)
 	}
+	if len(s.Shapes) != len(s.Names) || len(s.Data) != len(s.Names) {
+		return fmt.Errorf("nn: corrupt snapshot: %d names, %d shapes, %d data arrays",
+			len(s.Names), len(s.Shapes), len(s.Data))
+	}
 	if len(s.Names) != len(params) {
 		return fmt.Errorf("nn: snapshot has %d params, model has %d", len(s.Names), len(params))
 	}

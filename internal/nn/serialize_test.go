@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"testing"
 )
@@ -73,6 +74,34 @@ func TestLoadIsAtomic(t *testing.T) {
 	for i, v := range orig {
 		if m.Params()[0].Val.Data[i] != v {
 			t.Fatal("failed load modified the model")
+		}
+	}
+}
+
+// A snapshot whose Shapes or Data are shorter than its Names (truncated
+// or hand-edited) must be rejected with an error, not index past them.
+func TestLoadRejectsTruncatedSnapshot(t *testing.T) {
+	m := NewMLP(rand.New(rand.NewSource(4)), 2, 3, 1)
+	var full bytes.Buffer
+	if err := SaveParams(&full, m.Params()); err != nil {
+		t.Fatal(err)
+	}
+	var s snapshot
+	if err := gob.NewDecoder(&full).Decode(&s); err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]snapshot{
+		"no shapes":    {Names: s.Names, Data: s.Data},
+		"short shapes": {Names: s.Names, Shapes: s.Shapes[:1], Data: s.Data},
+		"no data":      {Names: s.Names, Shapes: s.Shapes},
+		"short data":   {Names: s.Names, Shapes: s.Shapes, Data: s.Data[:len(s.Data)-1]},
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(bad); err != nil {
+			t.Fatal(err)
+		}
+		if err := LoadParams(&buf, m.Params()); err == nil {
+			t.Errorf("%s: truncated snapshot accepted", name)
 		}
 	}
 }

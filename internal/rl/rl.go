@@ -41,11 +41,16 @@ type A2C struct {
 
 	opt *nn.Adam
 	rng *rand.Rand
+	ps  []*nn.Param // params(), collected once
+
+	// Update scratch, reused across calls.
+	returns, probs      []float64
+	pooled, dV, dLogits *nn.Mat
 }
 
 // NewA2C builds the agent for embDim-sized encoder outputs.
 func NewA2C(enc gnn.Encoder, embDim int, rng *rand.Rand) *A2C {
-	return &A2C{
+	a := &A2C{
 		Enc:     enc,
 		Actor:   nn.NewMLP(rng, embDim, 256, 128, 32, 1),
 		Critic:  nn.NewMLP(rng, embDim, 256, 128, 32, 1),
@@ -54,6 +59,8 @@ func NewA2C(enc gnn.Encoder, embDim int, rng *rand.Rand) *A2C {
 		opt:     nn.NewAdam(LearningRate),
 		rng:     rng,
 	}
+	a.ps = a.params()
+	return a
 }
 
 // SetLR overrides the optimizer learning rate (tests and ablations; the
@@ -68,18 +75,14 @@ func (a *A2C) params() []*nn.Param {
 	return ps
 }
 
-// Logits computes masked per-node action logits for the state.
+// logits computes the per-node action logits for the state: the actor's
+// N×1 output, valid until the actor's next call.
 func (a *A2C) logits(g *gnn.Graph, x *nn.Mat) []float64 {
-	emb := a.Enc.Forward(g, x)
-	out := a.Actor.Forward(emb)
-	logits := make([]float64, g.N)
-	for i := 0; i < g.N; i++ {
-		logits[i] = out.At(i, 0)
-	}
-	return logits
+	return a.Actor.Forward(a.Enc.Forward(g, x)).Data
 }
 
-// Probs returns the masked action distribution π(a|s).
+// Probs returns the masked action distribution π(a|s) in a fresh slice
+// the caller may keep.
 func (a *A2C) Probs(g *gnn.Graph, x *nn.Mat, mask []bool) []float64 {
 	return nn.SoftmaxRow(a.logits(g, x), mask)
 }
@@ -104,8 +107,8 @@ func (a *A2C) GreedyAction(g *gnn.Graph, x *nn.Mat, mask []bool) int {
 
 // Value estimates V(s) from the mean-pooled embedding.
 func (a *A2C) Value(g *gnn.Graph, x *nn.Mat) float64 {
-	emb := a.Enc.Forward(g, x)
-	return a.Critic.Forward(nn.MeanRows(emb)).At(0, 0)
+	a.pooled = nn.MeanRowsInto(a.pooled, a.Enc.Forward(g, x))
+	return a.Critic.Forward(a.pooled).At(0, 0)
 }
 
 // Stats summarizes one update.
@@ -124,7 +127,7 @@ func (a *A2C) Update(batch []Transition) Stats {
 	}
 	// Compute returns back-to-front, bootstrapping with the value of the
 	// last state (continuing task).
-	returns := make([]float64, len(batch))
+	returns := grow(&a.returns, len(batch))
 	last := batch[len(batch)-1]
 	run := a.Value(last.Graph, last.X)
 	for i := len(batch) - 1; i >= 0; i-- {
@@ -132,7 +135,7 @@ func (a *A2C) Update(batch []Transition) Stats {
 		returns[i] = run
 	}
 
-	for _, p := range a.params() {
+	for _, p := range a.ps {
 		p.Grad.Zero()
 	}
 	var st Stats
@@ -142,20 +145,16 @@ func (a *A2C) Update(batch []Transition) Stats {
 		}
 		// Forward pass (fresh caches for this transition).
 		emb := a.Enc.Forward(tr.Graph, tr.X)
-		logitsM := a.Actor.Forward(emb)
-		logits := make([]float64, tr.Graph.N)
-		for j := range logits {
-			logits[j] = logitsM.At(j, 0)
-		}
-		probs := nn.SoftmaxRow(logits, tr.Mask)
+		probs := nn.SoftmaxRowInto(grow(&a.probs, tr.Graph.N), a.Actor.Forward(emb).Data, tr.Mask)
 
-		pooled := nn.MeanRows(emb)
-		v := a.Critic.Forward(pooled).At(0, 0)
+		a.pooled = nn.MeanRowsInto(a.pooled, emb)
+		v := a.Critic.Forward(a.pooled).At(0, 0)
 		adv := returns[i] - v
 
 		// Critic gradient: d/dv of (ret - v)^2 = -2 adv.
-		dV := nn.FromSlice(1, 1, []float64{-2 * adv / float64(len(batch))})
-		dPooled := a.Critic.Backward(dV)
+		a.dV = nn.Reuse(a.dV, 1, 1)
+		a.dV.Data[0] = -2 * adv / float64(len(batch))
+		dPooled := a.Critic.Backward(a.dV)
 
 		// Actor gradient: policy-gradient through masked softmax plus
 		// entropy bonus. dL/dlogit_j = (π_j − 1{j=a})·A − β·dH/dlogit_j,
@@ -167,7 +166,8 @@ func (a *A2C) Update(batch []Transition) Stats {
 			}
 		}
 		st.Entropy += ent
-		dLogits := nn.NewMat(tr.Graph.N, 1)
+		a.dLogits = nn.Reuse(a.dLogits, tr.Graph.N, 1)
+		a.dLogits.Zero()
 		scale := 1.0 / float64(len(batch))
 		for j, p := range probs {
 			if tr.Mask != nil && !tr.Mask[j] {
@@ -181,12 +181,12 @@ func (a *A2C) Update(batch []Transition) Stats {
 			if p > 0 {
 				g += a.Entropy * p * (math.Log(p) + ent)
 			}
-			dLogits.Set(j, 0, g*scale)
+			a.dLogits.Data[j] = g * scale
 		}
-		dEmbActor := a.Actor.Backward(dLogits)
+		dEmb := a.Actor.Backward(a.dLogits)
 
-		// Combine embedding gradients: actor path + critic pooled path.
-		dEmb := dEmbActor.Clone()
+		// Combine embedding gradients: actor path + critic pooled path,
+		// summed in place in the actor's input-gradient buffer.
 		inv := 1.0 / float64(emb.R)
 		for r := 0; r < emb.R; r++ {
 			row := dEmb.Row(r)
@@ -201,10 +201,20 @@ func (a *A2C) Update(batch []Transition) Stats {
 		}
 		st.ValueLoss += adv * adv * scale
 	}
-	nn.ClipGrads(a.params(), 5)
-	a.opt.Step(a.params())
+	nn.ClipGrads(a.ps, 5)
+	a.opt.Step(a.ps)
 	st.Entropy /= float64(len(batch))
 	return st
+}
+
+// grow resizes *s to n, reallocating only when it lacks the capacity,
+// and returns it. The contents are unspecified.
+func grow(s *[]float64, n int) []float64 {
+	if cap(*s) < n {
+		*s = make([]float64, n)
+	}
+	*s = (*s)[:n]
+	return *s
 }
 
 func sample(rng *rand.Rand, probs []float64) int {
@@ -233,6 +243,13 @@ type SAC struct {
 	Tau         float64 // polyak factor
 	optPi, optQ *nn.Adam
 	rng         *rand.Rand
+	// qparams (encoder + Q heads) and piparams (actor) are the two
+	// optimizer groups, collected once.
+	qparams, piparams []*nn.Param
+
+	// Update scratch, reused across calls.
+	probs, vals       []float64
+	dq1, dq2, dLogits *nn.Mat
 }
 
 // NewSAC builds a discrete SAC agent over embDim encoder outputs.
@@ -248,6 +265,8 @@ func NewSAC(enc gnn.Encoder, embDim int, rng *rand.Rand) *SAC {
 	s.T2 = cloneMLP(s.Q2, embDim, rng)
 	copyParams(s.T1, s.Q1)
 	copyParams(s.T2, s.Q2)
+	s.qparams = append(append(s.Enc.Params(), s.Q1.Params()...), s.Q2.Params()...)
+	s.piparams = s.Actor.Params()
 	return s
 }
 
@@ -271,15 +290,10 @@ func polyak(dst, src *nn.MLP, tau float64) {
 	}
 }
 
-// Probs returns the masked SAC policy.
+// Probs returns the masked SAC policy in a fresh slice the caller may
+// keep.
 func (s *SAC) Probs(g *gnn.Graph, x *nn.Mat, mask []bool) []float64 {
-	emb := s.Enc.Forward(g, x)
-	out := s.Actor.Forward(emb)
-	logits := make([]float64, g.N)
-	for i := range logits {
-		logits[i] = out.At(i, 0)
-	}
-	return nn.SoftmaxRow(logits, mask)
+	return nn.SoftmaxRow(s.Actor.Forward(s.Enc.Forward(g, x)).Data, mask)
 }
 
 // SelectAction samples from the masked policy.
@@ -296,8 +310,7 @@ func (s *SAC) Update(batch []Transition) Stats {
 	}
 	var st Stats
 	// --- Q update ---
-	qparams := append(append(s.Enc.Params(), s.Q1.Params()...), s.Q2.Params()...)
-	for _, p := range qparams {
+	for _, p := range s.qparams {
 		p.Grad.Zero()
 	}
 	scale := 1.0 / float64(len(batch))
@@ -308,12 +321,7 @@ func (s *SAC) Update(batch []Transition) Stats {
 		}
 		// Target: r + γ Σ_a' π(a'|s') (minQ'(s',a') − α log π(a'|s')).
 		nextEmb := s.Enc.Forward(next.Graph, next.X)
-		nextOut := s.Actor.Forward(nextEmb)
-		nl := make([]float64, next.Graph.N)
-		for j := range nl {
-			nl[j] = nextOut.At(j, 0)
-		}
-		np := nn.SoftmaxRow(nl, next.Mask)
+		np := nn.SoftmaxRowInto(grow(&s.probs, next.Graph.N), s.Actor.Forward(nextEmb).Data, next.Mask)
 		t1 := s.T1.Forward(nextEmb)
 		t2 := s.T2.Forward(nextEmb)
 		target := 0.0
@@ -326,6 +334,7 @@ func (s *SAC) Update(batch []Transition) Stats {
 		}
 		y := tr.Reward + s.Gamma*target
 
+		// The encoder's output buffer now holds emb; nextEmb is spent.
 		emb := s.Enc.Forward(tr.Graph, tr.X)
 		q1 := s.Q1.Forward(emb)
 		q2 := s.Q2.Forward(emb)
@@ -333,37 +342,34 @@ func (s *SAC) Update(batch []Transition) Stats {
 		d2 := q2.At(tr.Action, 0) - y
 		st.ValueLoss += (d1*d1 + d2*d2) * scale
 
-		dq1 := nn.NewMat(emb.R, 1)
-		dq1.Set(tr.Action, 0, 2*d1*scale)
-		dq2 := nn.NewMat(emb.R, 1)
-		dq2.Set(tr.Action, 0, 2*d2*scale)
-		dEmb := s.Q1.Backward(dq1)
-		nn.AddInPlace(dEmb, s.Q2.Backward(dq2))
+		s.dq1 = nn.Reuse(s.dq1, emb.R, 1)
+		s.dq1.Zero()
+		s.dq1.Set(tr.Action, 0, 2*d1*scale)
+		s.dq2 = nn.Reuse(s.dq2, emb.R, 1)
+		s.dq2.Zero()
+		s.dq2.Set(tr.Action, 0, 2*d2*scale)
+		dEmb := s.Q1.Backward(s.dq1)
+		nn.AddInPlace(dEmb, s.Q2.Backward(s.dq2))
 		s.Enc.Backward(dEmb)
 	}
-	nn.ClipGrads(qparams, 5)
-	s.optQ.Step(qparams)
+	nn.ClipGrads(s.qparams, 5)
+	s.optQ.Step(s.qparams)
 
 	// --- policy update ---
-	piparams := s.Actor.Params()
-	for _, p := range piparams {
+	for _, p := range s.piparams {
 		p.Grad.Zero()
 	}
 	for _, tr := range batch {
 		emb := s.Enc.Forward(tr.Graph, tr.X)
-		out := s.Actor.Forward(emb)
-		logits := make([]float64, tr.Graph.N)
-		for j := range logits {
-			logits[j] = out.At(j, 0)
-		}
-		probs := nn.SoftmaxRow(logits, tr.Mask)
+		probs := nn.SoftmaxRowInto(grow(&s.probs, tr.Graph.N), s.Actor.Forward(emb).Data, tr.Mask)
 		q1 := s.Q1.Forward(emb)
 		q2 := s.Q2.Forward(emb)
 		// L = Σ_a π(a)(α log π(a) − minQ(a)); dL/dlogit via softmax chain.
 		// g_j = π_j [ (α log π_j − q_j) − Σ_k π_k (α log π_k − q_k) + α ]
 		// minus the same for the baseline; compact form below.
 		mean := 0.0
-		vals := make([]float64, tr.Graph.N)
+		vals := grow(&s.vals, tr.Graph.N)
+		clear(vals)
 		for j, p := range probs {
 			if p <= 0 {
 				continue
@@ -372,7 +378,8 @@ func (s *SAC) Update(batch []Transition) Stats {
 			mean += p * vals[j]
 			st.PolicyLoss += p * vals[j] * scale
 		}
-		dLogits := nn.NewMat(tr.Graph.N, 1)
+		s.dLogits = nn.Reuse(s.dLogits, tr.Graph.N, 1)
+		s.dLogits.Zero()
 		for j, p := range probs {
 			if tr.Mask != nil && !tr.Mask[j] {
 				continue
@@ -381,12 +388,12 @@ func (s *SAC) Update(batch []Transition) Stats {
 				continue
 			}
 			g := p * (vals[j] - mean + s.Alpha)
-			dLogits.Set(j, 0, g*scale)
+			s.dLogits.Set(j, 0, g*scale)
 		}
-		s.Actor.Backward(dLogits)
+		s.Actor.Backward(s.dLogits)
 	}
-	nn.ClipGrads(piparams, 5)
-	s.optPi.Step(piparams)
+	nn.ClipGrads(s.piparams, 5)
+	s.optPi.Step(s.piparams)
 
 	polyak(s.T1, s.Q1, s.Tau)
 	polyak(s.T2, s.Q2, s.Tau)
