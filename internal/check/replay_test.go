@@ -20,6 +20,16 @@ const replayHorizon = 6 * time.Second
 
 func replayRun(t *testing.T, seed int64) (stream, report string, violations error) {
 	t.Helper()
+	return replayRunWith(t, seed, func(tp *topo.Topology, _ []trace.Request) core.Options {
+		return core.Tango(tp, seed)
+	})
+}
+
+// replayRunWith is replayRun over the system configure builds for the
+// scenario's topology and request trace (tracing and verification are
+// switched on here, whatever configure returns).
+func replayRunWith(t *testing.T, seed int64, configure func(tp *topo.Topology, reqs []trace.Request) core.Options) (stream, report string, violations error) {
+	t.Helper()
 	tp := topo.PhysicalTestbed()
 	var clusters []topo.ClusterID
 	for _, c := range tp.Clusters {
@@ -30,7 +40,7 @@ func replayRun(t *testing.T, seed int64) (stream, report string, violations erro
 	gen.BERatePerSec = 15
 	reqs := trace.Generate(gen)
 
-	opts := core.Tango(tp, seed)
+	opts := configure(tp, reqs)
 	ds := obs.NewDigestSink(nil)
 	opts.TraceSink = ds
 	opts.TraceTag = "replay"

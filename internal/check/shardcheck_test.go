@@ -106,39 +106,30 @@ func TestShardedReplayDeterministic(t *testing.T) {
 
 // TestSingleShardSystemDigestsMatchUnsharded: a full system run driven
 // through the sharded dispatcher with K=1 must be bit-identical to the
-// plain DSS-LC dispatcher — same trace stream, same report.
+// plain DSS-LC dispatcher — same trace stream, same report. The scenario
+// is replayRun's at seed 42, so the plain dispatcher's digests are the
+// seedGoldens entry captured on the unsharded path; both the default
+// configuration and an explicit K=1 factory must reproduce it.
 func TestSingleShardSystemDigestsMatchUnsharded(t *testing.T) {
-	run := func(mk func(e *engine.Engine, seed int64) any) (string, string, error) {
-		tp := topo.PhysicalTestbed()
-		var clusters []topo.ClusterID
-		for _, c := range tp.Clusters {
-			clusters = append(clusters, c.ID)
+	const seed = 42
+	want := seedGoldens[seed]
+	for name, mk := range map[string]func(e *engine.Engine, seed int64) any{
+		"default":      nil,
+		"explicit K=1": func(e *engine.Engine, seed int64) any { return shard.New(e, seed, 1, 2) },
+	} {
+		stream, report, violations := replayRunWith(t, seed, func(tp *topo.Topology, _ []trace.Request) core.Options {
+			o := core.Tango(tp, seed)
+			o.MakeLC = mk
+			return o
+		})
+		if violations != nil {
+			t.Fatalf("%s: verifier violations: %v", name, violations)
 		}
-		gen := trace.DefaultGenConfig(clusters, trace.P3, replayHorizon, 42)
-		gen.LCRatePerSec = 40
-		gen.BERatePerSec = 15
-		reqs := trace.Generate(gen)
-
-		opts := core.Tango(tp, 42)
-		opts.MakeLC = mk
-		ds := obs.NewDigestSink(nil)
-		opts.TraceSink = ds
-		opts.TraceTag = "replay"
-		opts.Verify = true
-		sys := core.New(opts)
-		sys.Inject(reqs)
-		sys.Run(replayHorizon + 2*time.Second)
-		return ds.Sum(), obs.ReportDigest(sys.Report("tango", 0)), sys.Verifier.Err()
-	}
-	su, ru, vu := run(nil) // default DSS-LC
-	ss, rs, vs := run(func(e *engine.Engine, seed int64) any { return shard.New(e, seed, 1, 2) })
-	if vu != nil || vs != nil {
-		t.Fatalf("verifier violations: unsharded %v / sharded %v", vu, vs)
-	}
-	if su != ss {
-		t.Fatalf("K=1 sharded stream digest diverges from unsharded:\n  %s\n  %s", su, ss)
-	}
-	if ru != rs {
-		t.Fatalf("K=1 sharded report digest diverges from unsharded:\n  %s\n  %s", ru, rs)
+		if stream != want.stream {
+			t.Errorf("%s: stream digest diverges from the unsharded golden:\n  golden %s\n  got    %s", name, want.stream, stream)
+		}
+		if report != want.report {
+			t.Errorf("%s: report digest diverges from the unsharded golden:\n  golden %s\n  got    %s", name, want.report, report)
+		}
 	}
 }
