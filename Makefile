@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench check fmt vet clean trace-smoke verify replay-smoke fuzz-smoke perf bench-smoke telemetry-smoke race-telemetry race-shard chaos-smoke race-chaos
+.PHONY: all build test race bench check fmt vet clean benchmark-test trace-smoke verify replay-smoke fuzz-smoke perf bench-smoke telemetry-smoke race-telemetry race-shard chaos-smoke race-chaos
 
 all: check
 
@@ -35,7 +35,14 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-check: fmt vet build race
+check: fmt vet build race benchmark-test
+
+# The benchmark is a module of its own, so `go test ./...` never builds
+# it. Its smoke test is the only one that drives core through an
+# outside ScheduleBatchInto-only LC wrapper (plain, verify and traced
+# runs must agree on the outcome digest).
+benchmark-test:
+	cd benchmark && $(GO) test .
 
 # The verification gate every perf PR must pass: vet, race-enabled
 # tests (includes the differential oracles, metamorphic properties and

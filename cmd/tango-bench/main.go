@@ -31,7 +31,7 @@ func main() {
 		full     = flag.Bool("full", false, "paper-scale configuration (much slower)")
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
 		seed     = flag.Int64("seed", 1, "random seed")
-		shards   = flag.Int("shards", 0, "partition LC scheduling into this many region shards (>1 enables the sharded scheduler for every Tango run)")
+		shards   = flag.Int("shards", 0, "partition LC scheduling into this many region shards (>1 splits DSS-LC into that many shards in every Tango run)")
 		traceOut = flag.String("trace", "", "write lifecycle events of every run as NDJSON to this file")
 		report   = flag.String("report", "", "write a suite report (JSON) to this file")
 		perfDir  = flag.String("perf", "", "write a BENCH_<date>.json perf snapshot into this directory and exit (combine with -exp to also run experiments)")

@@ -245,10 +245,10 @@ func writePerfSnapshot(dir string, seed int64, quick bool) (string, error) {
 	})
 	wg, wsrc, wsink := perfGraph(workers, batch)
 	wg.SetWorkspace(flow.NewWorkspace())
-	wg.WarmStart(wsrc, wsink, batch) // capture the memo
+	wg.WarmStartAt(0, wsrc, wsink, batch) // capture the memo
 	wg.Reset()
 	snap.SolverWarmNsOp = timeOp(budget, func() {
-		wg.WarmStart(wsrc, wsink, batch)
+		wg.WarmStartAt(0, wsrc, wsink, batch)
 		wg.Reset()
 	})
 
@@ -262,7 +262,7 @@ func writePerfSnapshot(dir string, seed int64, quick bool) (string, error) {
 	for i := 0; i < profIters; i++ {
 		pg.MinCostFlow(psrc, psink, batch)
 		pg.Reset()
-		pg.WarmStart(psrc, psink, batch)
+		pg.WarmStartAt(0, psrc, psink, batch)
 		pg.Reset()
 		pg.MaxFlowDinic(psrc, psink)
 		pg.Reset()

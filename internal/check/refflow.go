@@ -302,11 +302,12 @@ func warmCheck(in Instance, cold flow.Result, coldFlows []int64) error {
 	gw, ids := in.Graph()
 	ws := flow.NewWorkspace()
 	gw.SetWorkspace(ws)
-	if gw.Warmed(in.Src) {
+	if gw.WarmedAt(0, in.Src) {
 		return fmt.Errorf("fresh workspace claims warm")
 	}
-	// First WarmStart is necessarily cold and captures the memo.
-	w1 := gw.WarmStart(in.Src, in.Sink, refUnbounded)
+	// The first warm-started solve is necessarily cold and captures
+	// the memo.
+	w1 := gw.WarmStartAt(0, in.Src, in.Sink, refUnbounded)
 	if w1 != cold {
 		return fmt.Errorf("workspace cold solve %+v != plain solve %+v", w1, cold)
 	}
@@ -316,10 +317,10 @@ func warmCheck(in Instance, cold flow.Result, coldFlows []int64) error {
 		}
 	}
 	replay := func(stage string, g *flow.Graph, eids []flow.EdgeID, want flow.Result, wantFlows []int64, wantHits uint64) error {
-		if !g.Warmed(in.Src) {
+		if !g.WarmedAt(0, in.Src) {
 			return fmt.Errorf("%s: graph not warmed", stage)
 		}
-		r := g.WarmStart(in.Src, in.Sink, refUnbounded)
+		r := g.WarmStartAt(0, in.Src, in.Sink, refUnbounded)
 		if ws.WarmHits != wantHits {
 			return fmt.Errorf("%s: WarmHits = %d, want %d", stage, ws.WarmHits, wantHits)
 		}
@@ -389,12 +390,12 @@ func warmCheck(in Instance, cold flow.Result, coldFlows []int64) error {
 		for _, e := range alt.Edges {
 			gw.AddEdge(e.From, e.To, e.Cap, e.Cost)
 		}
-		if gw.Warmed(in.Src) {
+		if gw.WarmedAt(0, in.Src) {
 			return fmt.Errorf("shape change: graph still claims warm")
 		}
 		ga, aids := alt.Graph()
 		ra := ga.MinCostFlow(in.Src, in.Sink, refUnbounded)
-		wa := gw.WarmStart(in.Src, in.Sink, refUnbounded)
+		wa := gw.WarmStartAt(0, in.Src, in.Sink, refUnbounded)
 		if ws.WarmHits != 3 {
 			return fmt.Errorf("shape change: WarmHits = %d, want 3 (must not replay)", ws.WarmHits)
 		}

@@ -97,7 +97,7 @@ func TestFlowCostScalingMetamorphic(t *testing.T) {
 
 // TestWarmStartMetamorphicInterleave drives a workspace-backed graph
 // through random interleavings of Clear+rebuild (same shape, capacity
-// drift or genuine shape change), Reset and WarmStart, checking after
+// drift or genuine shape change), Reset and WarmStartAt, checking after
 // every solve that the result and per-edge flows equal a fresh cold
 // graph's — i.e. the memo life-cycle never leaks stale state no matter
 // the operation order.
@@ -152,7 +152,7 @@ func TestWarmStartMetamorphicInterleave(t *testing.T) {
 				if dirty {
 					g.Reset()
 				}
-				warm := g.WarmStart(cur.Src, cur.Sink, refLimit)
+				warm := g.WarmStartAt(0, cur.Src, cur.Sink, refLimit)
 				dirty = true
 				gc, cids := cur.Graph()
 				cold := gc.MinCostFlow(cur.Src, cur.Sink, refLimit)

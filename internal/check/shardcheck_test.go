@@ -105,31 +105,27 @@ func TestShardedReplayDeterministic(t *testing.T) {
 }
 
 // TestSingleShardSystemDigestsMatchUnsharded: a full system run driven
-// through the sharded dispatcher with K=1 must be bit-identical to the
-// plain DSS-LC dispatcher — same trace stream, same report. The scenario
-// is replayRun's at seed 42, so the plain dispatcher's digests are the
-// seedGoldens entry captured on the unsharded path; both the default
-// configuration and an explicit K=1 factory must reproduce it.
+// through an explicitly built K=1 sharded dispatcher must be
+// bit-identical to the plain DSS-LC dispatcher — same trace stream,
+// same report. The scenario is replayRun's at seed 42, so the plain
+// dispatcher's digests are the seedGoldens entry captured on the
+// unsharded path (TestSeedStabilityGoldens holds the default
+// configuration to it).
 func TestSingleShardSystemDigestsMatchUnsharded(t *testing.T) {
 	const seed = 42
 	want := seedGoldens[seed]
-	for name, mk := range map[string]func(e *engine.Engine, seed int64) any{
-		"default":      nil,
-		"explicit K=1": func(e *engine.Engine, seed int64) any { return shard.New(e, seed, 1, 2) },
-	} {
-		stream, report, violations := replayRunWith(t, seed, func(tp *topo.Topology, _ []trace.Request) core.Options {
-			o := core.Tango(tp, seed)
-			o.MakeLC = mk
-			return o
-		})
-		if violations != nil {
-			t.Fatalf("%s: verifier violations: %v", name, violations)
-		}
-		if stream != want.stream {
-			t.Errorf("%s: stream digest diverges from the unsharded golden:\n  golden %s\n  got    %s", name, want.stream, stream)
-		}
-		if report != want.report {
-			t.Errorf("%s: report digest diverges from the unsharded golden:\n  golden %s\n  got    %s", name, want.report, report)
-		}
+	stream, report, violations := replayRunWith(t, seed, func(tp *topo.Topology, _ []trace.Request) core.Options {
+		o := core.Tango(tp, seed)
+		o.MakeLC = func(e *engine.Engine, seed int64) any { return shard.New(e, seed, 1, 2) }
+		return o
+	})
+	if violations != nil {
+		t.Fatalf("verifier violations: %v", violations)
+	}
+	if stream != want.stream {
+		t.Errorf("K=1 stream digest diverges from the unsharded golden:\n  golden %s\n  got    %s", want.stream, stream)
+	}
+	if report != want.report {
+		t.Errorf("K=1 report digest diverges from the unsharded golden:\n  golden %s\n  got    %s", want.report, report)
 	}
 }

@@ -17,6 +17,17 @@
 // Every component is swappable, which is how the baseline systems
 // (native K8s, CERES, DSACO) and the Figure 12 algorithm pairings are
 // expressed.
+//
+// LC dispatch has one contract, the round shape of
+// shard.Scheduler.ScheduleRound. Each dispatcher round gathers every
+// unstalled master's queue into a batch and makes one ScheduleRound
+// call; its deliver callback dispatches each placed request and
+// requeues the rest. DSS-LC is always the internal/shard scheduler,
+// with one shard unless Options.LCShards asks for more. New adapts the
+// other LC schedulers once: a per-batch BatchLCIntoScheduler solves and
+// delivers one batch at a time, and a per-request sched.Scheduler
+// baseline dispatches each request before it picks the next, because
+// its heuristics read the in-transit load that Engine.Dispatch books.
 package core
 
 import (
@@ -41,19 +52,62 @@ import (
 	"repro/internal/trace"
 )
 
-// BatchLCScheduler is the batched dispatch interface DSS-LC provides.
-type BatchLCScheduler interface {
-	ScheduleBatch(c topo.ClusterID, reqs []*engine.Request) dsslc.Assignment
+// lcScheduler is the one LC dispatch contract, the round shape of
+// shard.Scheduler.ScheduleRound. Every dispatcher round hands it one
+// batch per unstalled master with queued LC work. It writes each
+// placed request's worker into out and calls deliver for a batch once
+// that batch's placements are final; deliver dispatches the placed
+// requests and requeues the rest at the batch's master.
+type lcScheduler interface {
+	ScheduleRound(batches []shard.Batch, out dsslc.Assignment, deliver func(shard.Batch))
 	Name() string
 }
 
-// BatchLCIntoScheduler is the allocation-free variant: the dispatcher
-// hands in a reusable assignment map instead of receiving a fresh one
-// per round. Schedulers implementing it (DSS-LC does) are preferred by
-// dispatch.
+// BatchLCIntoScheduler is a per-batch LC scheduler: it schedules one
+// master's queue into a caller-provided assignment. core drives it one
+// batch at a time.
 type BatchLCIntoScheduler interface {
 	ScheduleBatchInto(c topo.ClusterID, reqs []*engine.Request, out dsslc.Assignment)
 	Name() string
+}
+
+// batchIntoLC runs a BatchLCIntoScheduler as an lcScheduler. Each batch
+// is scheduled into a cleared out and delivered before the next one
+// solves: DSS-LC's flow-solve event reports len(out), so out must hold
+// only the current batch.
+type batchIntoLC struct{ BatchLCIntoScheduler }
+
+func (a batchIntoLC) ScheduleRound(batches []shard.Batch, out dsslc.Assignment, deliver func(shard.Batch)) {
+	for _, b := range batches {
+		clear(out)
+		a.ScheduleBatchInto(b.Cluster, b.Reqs, out)
+		deliver(b)
+	}
+}
+
+// pickLC runs a per-request sched.Scheduler as an lcScheduler over the
+// batch's geo-nearby candidates, auditing each pick. Pick heuristics
+// read the in-transit load that Engine.Dispatch books, so every request
+// is delivered, as a one-request batch, before the next one is picked.
+type pickLC struct {
+	sched.Scheduler
+	sys *System
+}
+
+func (p pickLC) ScheduleRound(batches []shard.Batch, out dsslc.Assignment, deliver func(shard.Batch)) {
+	s := p.sys
+	for _, b := range batches {
+		cands := sched.CandidatesLC(s.Engine, b.Cluster, s.opts.GeoRadiusKm)
+		for i, r := range b.Reqs {
+			if nid, ok := p.Pick(r, cands); ok {
+				if id := sched.Audit(s.Tracer, p.Scheduler, r, cands, nid, ok); id >= 0 {
+					s.SLO.NoteDecision(id, s.Sim.Now())
+				}
+				out[r.ID] = nid
+			}
+			deliver(shard.Batch{Cluster: b.Cluster, Reqs: b.Reqs[i : i+1]})
+		}
+	}
 }
 
 // OutcomeObserver receives request outcomes (QoS detector consumers).
@@ -70,9 +124,10 @@ type Options struct {
 
 	// Policy is the node resource policy; nil = HRM regulations.
 	Policy engine.Policy
-	// MakeLC builds the LC scheduler; nil = DSS-LC.
+	// MakeLC builds the LC scheduler; nil = DSS-LC. The value must be
+	// a *shard.Scheduler, a BatchLCIntoScheduler or a sched.Scheduler.
 	MakeLC func(e *engine.Engine, seed int64) any
-	// MakeBE builds the BE scheduler; nil = DCG-BE.
+	// MakeBE builds the BE scheduler, a sched.Scheduler; nil = DCG-BE.
 	MakeBE func(e *engine.Engine, seed int64) any
 
 	// Reassure enables the QoS re-assurance mechanism (§4.3).
@@ -96,8 +151,8 @@ type Options struct {
 	// LCShards > 1 partitions the topology into that many geographic
 	// shards (internal/shard) and solves their DSS-LC instances
 	// concurrently, with a sequential cross-shard overflow pass; 0 or 1
-	// keeps the single global DSS-LC dispatcher. Applies only when
-	// MakeLC is nil.
+	// keeps a single global DSS-LC instance. Applies only when MakeLC is
+	// nil.
 	LCShards int
 	// LCShardWorkers bounds the shard solve pool (0 = GOMAXPROCS).
 	LCShardWorkers int
@@ -170,8 +225,8 @@ type System struct {
 	Engine  *engine.Engine
 	Catalog *trace.Catalog
 
-	lcSched   any
-	beSched   any
+	lcSched   lcScheduler
+	beSched   sched.Scheduler
 	reassurer *hrm.ReAssurer
 	booster   *hrm.Booster
 	storage   *state.Storage
@@ -180,12 +235,12 @@ type System struct {
 	opts Options
 
 	lcQueues map[topo.ClusterID][]*engine.Request
-	lcAssign dsslc.Assignment // reused per dispatch round, cleared between uses
-	// shardBatches is the reused per-round batch list of the sharded
-	// LC dispatcher.
-	shardBatches []shard.Batch
-	beQueue      []*engine.Request
-	central      topo.ClusterID
+	// lcBatches and lcAssign are the LC round's batch list and
+	// assignment, reused across rounds.
+	lcBatches []shard.Batch
+	lcAssign  dsslc.Assignment
+	beQueue   []*engine.Request
+	central   topo.ClusterID
 
 	Metrics *Collector
 	// Tracer is non-nil when Options.TraceSink was set.
@@ -241,6 +296,7 @@ func New(o Options) *System {
 		Catalog:  o.Catalog,
 		opts:     o,
 		lcQueues: map[topo.ClusterID][]*engine.Request{},
+		lcAssign: dsslc.Assignment{},
 		central:  o.Topo.CentralCluster().ID,
 	}
 	s.Metrics = NewCollector(o.Period)
@@ -262,38 +318,22 @@ func New(o Options) *System {
 		Prof:            o.Profiler,
 	})
 	if o.MakeLC == nil {
-		if o.LCShards > 1 {
-			o.MakeLC = func(e *engine.Engine, seed int64) any {
-				return shard.New(e, seed, o.LCShards, o.LCShardWorkers)
-			}
-		} else {
-			o.MakeLC = func(e *engine.Engine, seed int64) any { return dsslc.New(e, seed) }
+		// One shard is the single global DSS-LC instance.
+		o.MakeLC = func(e *engine.Engine, seed int64) any {
+			return shard.New(e, seed, o.LCShards, o.LCShardWorkers)
 		}
 	}
 	if o.MakeBE == nil {
 		o.MakeBE = func(e *engine.Engine, seed int64) any { return dcgbe.New(e, seed) }
 	}
-	s.lcSched = o.MakeLC(s.Engine, o.Seed)
-	s.beSched = o.MakeBE(s.Engine, o.Seed+1)
-	if lc, ok := s.lcSched.(*dsslc.Scheduler); ok {
-		lc.Tracer = s.Tracer
-		lc.Prof = o.Profiler
-		lc.OnDecision = func(d obs.Decision) { s.SLO.NoteDecision(d.ID, d.At) }
-	}
-	if sh, ok := s.lcSched.(*shard.Scheduler); ok {
-		sh.GeoRadiusKm = o.GeoRadiusKm
-		sh.Tracer = s.Tracer
-		sh.Prof = o.Profiler
-		sh.OnDecision = func(d obs.Decision) { s.SLO.NoteDecision(d.ID, d.At) }
-	}
 	if o.Verify {
 		s.Verifier = check.NewVerifier(s.Sim.Now)
-		if lc, ok := s.lcSched.(*dsslc.Scheduler); ok {
-			lc.OnSolve = s.Verifier.FlowHook()
-		}
-		if sh, ok := s.lcSched.(*shard.Scheduler); ok {
-			sh.OnSolve = s.Verifier.FlowHook()
-		}
+	}
+	s.lcSched = s.resolveLC(o.MakeLC(s.Engine, o.Seed))
+	be := o.MakeBE(s.Engine, o.Seed+1)
+	var ok bool
+	if s.beSched, ok = be.(sched.Scheduler); !ok {
+		panic(fmt.Sprintf("core: BE scheduler %T implements no known interface", be))
 	}
 
 	if o.Reassure {
@@ -350,6 +390,27 @@ func New(o Options) *System {
 	return s
 }
 
+// resolveLC turns a MakeLC result into the lcScheduler core drives,
+// wiring DSS-LC's radius, tracer, profiler, SLO and verifier hooks.
+func (s *System) resolveLC(v any) lcScheduler {
+	switch lc := v.(type) {
+	case *shard.Scheduler:
+		lc.GeoRadiusKm = s.opts.GeoRadiusKm
+		lc.Tracer = s.Tracer
+		lc.Prof = s.opts.Profiler
+		lc.OnDecision = func(d obs.Decision) { s.SLO.NoteDecision(d.ID, d.At) }
+		if s.Verifier != nil {
+			lc.OnSolve = s.Verifier.FlowHook()
+		}
+		return lc
+	case BatchLCIntoScheduler:
+		return batchIntoLC{lc}
+	case sched.Scheduler:
+		return pickLC{lc, s}
+	}
+	panic(fmt.Sprintf("core: LC scheduler %T implements no known interface", v))
+}
+
 // StateStorage exposes the masters' state storage (Fig. 3 ➋).
 func (s *System) StateStorage() *state.Storage { return s.storage }
 
@@ -375,17 +436,10 @@ func (s *System) nodeSlack(id topo.NodeID) float64 {
 func (s *System) ReAssurer() *hrm.ReAssurer { return s.reassurer }
 
 // LCSchedulerName reports the LC algorithm in use.
-func (s *System) LCSchedulerName() string { return schedName(s.lcSched) }
+func (s *System) LCSchedulerName() string { return s.lcSched.Name() }
 
 // BESchedulerName reports the BE algorithm in use.
-func (s *System) BESchedulerName() string { return schedName(s.beSched) }
-
-func schedName(v any) string {
-	if n, ok := v.(interface{ Name() string }); ok {
-		return n.Name()
-	}
-	return fmt.Sprintf("%T", v)
-}
+func (s *System) BESchedulerName() string { return s.beSched.Name() }
 
 func (s *System) onOutcome(o engine.Outcome) {
 	s.Metrics.observe(o)
@@ -508,99 +562,42 @@ func (s *System) flushLeftovers() {
 }
 
 // dispatch is one dispatcher round over all LC queues and the BE queue.
+// Each unstalled master's LC queue becomes one batch of a single
+// lcScheduler round. Taking every queue before the round starts is
+// safe: Engine.Dispatch only schedules an arrival, and requeues go to
+// the batch's own master.
 func (s *System) dispatch() {
 	s.opts.Profiler.Enter(perf.PhaseEngineDispatch)
 	defer s.opts.Profiler.Exit(perf.PhaseEngineDispatch)
-	if sh, ok := s.lcSched.(*shard.Scheduler); ok {
-		// Sharded LC: one coordinated round over every master's queue.
-		s.dispatchSharded(sh)
-		s.dispatchBE()
-		return
-	}
-	// LC: each master dispatches its own queue (distributed decisions).
+	s.lcBatches = s.lcBatches[:0]
 	for _, c := range s.Topo.Clusters {
 		q := s.lcQueues[c.ID]
 		if len(q) == 0 || s.masterStalled(c.ID) {
 			continue
 		}
 		s.lcQueues[c.ID] = nil
-		switch lc := s.lcSched.(type) {
-		case BatchLCIntoScheduler:
-			if s.lcAssign == nil {
-				s.lcAssign = make(dsslc.Assignment, len(q))
-			} else {
-				clear(s.lcAssign)
-			}
-			a := s.lcAssign
-			lc.ScheduleBatchInto(c.ID, q, a)
-			for _, r := range q {
-				if nid, ok := a[r.ID]; ok {
-					s.Engine.Dispatch(r, nid)
-				} else {
-					s.requeueLC(c.ID, r)
-				}
-			}
-		case BatchLCScheduler:
-			a := lc.ScheduleBatch(c.ID, q)
-			for _, r := range q {
-				if nid, ok := a[r.ID]; ok {
-					s.Engine.Dispatch(r, nid)
-				} else {
-					s.requeueLC(c.ID, r)
-				}
-			}
-		case sched.Scheduler:
-			cands := sched.CandidatesLC(s.Engine, c.ID, s.opts.GeoRadiusKm)
-			for _, r := range q {
-				if nid, ok := lc.Pick(r, cands); ok {
-					if id := sched.Audit(s.Tracer, lc, r, cands, nid, ok); id >= 0 {
-						s.SLO.NoteDecision(id, s.Sim.Now())
-					}
-					s.Engine.Dispatch(r, nid)
-				} else {
-					s.requeueLC(c.ID, r)
-				}
-			}
-		default:
-			panic(fmt.Sprintf("core: LC scheduler %T implements no known interface", s.lcSched))
-		}
+		s.lcBatches = append(s.lcBatches, shard.Batch{Cluster: c.ID, Reqs: q})
+	}
+	if len(s.lcBatches) > 0 {
+		clear(s.lcAssign)
+		s.lcSched.ScheduleRound(s.lcBatches, s.lcAssign, s.deliverLC)
+		// The reused list must not keep this round's queues, and so
+		// their requests, reachable after they finish.
+		clear(s.lcBatches)
 	}
 	s.dispatchBE()
 }
 
-// dispatchSharded runs one shard-parallel LC round: every non-empty
-// master queue becomes a batch, batches are scheduled by the sharded
-// layer, and each batch is dispatched through the deliver callback —
-// immediately after its solve in single-shard mode (the exact unsharded
-// interleave), after the join and overflow pass otherwise.
-func (s *System) dispatchSharded(sh *shard.Scheduler) {
-	s.shardBatches = s.shardBatches[:0]
-	for _, c := range s.Topo.Clusters {
-		q := s.lcQueues[c.ID]
-		if len(q) == 0 || s.masterStalled(c.ID) {
-			continue
+// deliverLC dispatches a scheduled LC batch: placed requests go to
+// their worker, the rest back to the batch's master queue.
+func (s *System) deliverLC(b shard.Batch) {
+	for _, r := range b.Reqs {
+		if nid, ok := s.lcAssign[r.ID]; ok {
+			s.Engine.Dispatch(r, nid)
+		} else {
+			s.requeueLC(b.Cluster, r)
 		}
-		s.lcQueues[c.ID] = nil
-		s.shardBatches = append(s.shardBatches, shard.Batch{Cluster: c.ID, Reqs: q})
 	}
-	if len(s.shardBatches) == 0 {
-		return
-	}
-	if s.lcAssign == nil {
-		s.lcAssign = make(dsslc.Assignment)
-	} else {
-		clear(s.lcAssign)
-	}
-	a := s.lcAssign
-	sh.ScheduleRound(s.shardBatches, a, func(b shard.Batch) {
-		for _, r := range b.Reqs {
-			if nid, ok := a[r.ID]; ok {
-				s.Engine.Dispatch(r, nid)
-			} else {
-				s.requeueLC(b.Cluster, r)
-			}
-		}
-	})
 }
 
 // dispatchBE drains the centralized BE queue.
@@ -610,13 +607,9 @@ func (s *System) dispatchBE() {
 	}
 	q := s.beQueue
 	s.beQueue = nil
-	be, ok := s.beSched.(sched.Scheduler)
-	if !ok {
-		panic(fmt.Sprintf("core: BE scheduler %T implements no known interface", s.beSched))
-	}
 	cands := sched.CandidatesBE(s.Engine)
 	for _, r := range q {
-		if nid, ok := be.Pick(r, cands); ok {
+		if nid, ok := s.beSched.Pick(r, cands); ok {
 			s.Engine.Dispatch(r, nid)
 		} else {
 			s.beQueue = append(s.beQueue, r) // retry next round
@@ -980,27 +973,19 @@ func (c *Collector) updateSLOGauges() {
 // updateSolverGauges refreshes the DSS-LC solver health gauges (no-op
 // for baseline schedulers and before the first solve).
 func (c *Collector) updateSolverGauges() {
-	var solves, warmHits uint64
-	switch lc := c.sys.lcSched.(type) {
-	case *dsslc.Scheduler:
-		ws := lc.Workspace()
-		if ws == nil {
-			return
-		}
-		solves, warmHits = ws.Solves, ws.WarmHits
-	case *shard.Scheduler:
-		solves, warmHits = lc.SolverTotals()
-		if solves == 0 {
-			return
-		}
-		// Per-shard series only exist in genuinely sharded mode; the K=1
-		// degenerate scheduler keeps the exact unsharded gauge set (and
-		// so the exact unsharded report digest).
-		if lc.NumShards() > 1 {
-			c.updateShardGauges(lc)
-		}
-	default:
+	lc, ok := c.sys.lcSched.(*shard.Scheduler)
+	if !ok {
 		return
+	}
+	solves, warmHits := lc.SolverTotals()
+	if solves == 0 {
+		return
+	}
+	// Per-shard series only exist in genuinely sharded mode, so the
+	// single-shard gauge set (and report digest) is that of one global
+	// DSS-LC instance.
+	if lc.NumShards() > 1 {
+		c.updateShardGauges(lc)
 	}
 	if c.solverGauges == nil {
 		c.solverGauges = &solverGauges{

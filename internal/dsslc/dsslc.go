@@ -24,11 +24,11 @@
 // The solve loop is the scheduler's hot path, so it is built around one
 // reused flow.Graph + flow.Workspace per Scheduler: every route call
 // Clears and rebuilds the graph inside the retained arenas, solves with
-// flow.WarmStart (replaying the previous period's first Dijkstra pass
-// when the topology shape is unchanged), and all per-batch bookkeeping
-// draws from pooled slices. ScheduleBatchInto is steady-state
-// allocation-free when tracing is off (asserted by testing.AllocsPerRun
-// in dsslc_test.go).
+// flow.Graph.WarmStartAt (replaying the previous period's first
+// Dijkstra pass when the topology shape is unchanged), and all
+// per-batch bookkeeping draws from pooled slices. ScheduleBatchInto is
+// steady-state allocation-free when tracing is off (asserted by
+// testing.AllocsPerRun in dsslc_test.go).
 package dsslc
 
 import (
@@ -45,10 +45,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Scheduler is one master's DSS-LC instance. It implements both the
-// batch interface used by Tango's LC traffic dispatcher and (through
-// Pick) the one-request sched.Scheduler interface for pairing
-// experiments.
+// Scheduler is one master's DSS-LC instance: it schedules one master's
+// LC queue per ScheduleBatchInto call. Tango's LC traffic dispatcher
+// drives it through internal/shard, which owns one instance per shard.
 type Scheduler struct {
 	Engine *engine.Engine
 	// GeoRadiusKm bounds candidate clusters (footnote 4; 500 km).
@@ -130,7 +129,7 @@ func New(e *engine.Engine, seed int64) *Scheduler {
 	return &Scheduler{Engine: e, GeoRadiusKm: 500, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Name implements sched.Scheduler.
+// Name reports the algorithm name.
 func (s *Scheduler) Name() string { return "DSS-LC" }
 
 // Workspace exposes the scheduler's solver workspace (nil until the
@@ -330,7 +329,7 @@ func (s *Scheduler) route(c topo.ClusterID, svc trace.TypeID, phase string, rs [
 	// identical to a cold MinCostFlow either way. The memo is keyed by
 	// (cluster, type, phase): a batch interleaves one solve per
 	// commodity, and per-commodity entries stop those solves from
-	// evicting each other's memos (the single-entry memo only ever
+	// evicting each other's memos (one shared key would only ever
 	// warm-hit the last commodity solved).
 	key := uint64(c)<<32 | uint64(svc)<<1
 	if phase == obs.PhaseOverflow {
@@ -441,14 +440,6 @@ func (s *Scheduler) neighborsOf(t *topo.Topology, c topo.ClusterID) []topo.Clust
 	s.neighbors = t.NeighborClustersInto(s.neighbors[:0], c, s.GeoRadiusKm)
 	s.neighborsFor, s.neighborsKm, s.neighborsOK = c, s.GeoRadiusKm, true
 	return s.neighbors
-}
-
-// Pick adapts DSS-LC to the one-request sched.Scheduler interface by
-// running a batch of size one.
-func (s *Scheduler) Pick(r *engine.Request, cands []*engine.Node) (topo.NodeID, bool) {
-	a := s.ScheduleBatch(r.Cluster, []*engine.Request{r})
-	id, ok := a[r.ID]
-	return id, ok
 }
 
 // growInt64s resizes a pooled int64 slice to n, zeroed.

@@ -170,16 +170,18 @@ func TestEmptyBatch(t *testing.T) {
 	}
 }
 
+// TestPickSingleRequest: a one-request batch is placed, and placed
+// locally under low load.
 func TestPickSingleRequest(t *testing.T) {
 	_, e, _ := env(4000)
 	s := New(e, 1)
 	r := e.NewRequest(trace.Request{ID: 7, Type: 1, Class: trace.LC, Cluster: 0})
-	id, ok := s.Pick(r, nil)
+	id, ok := s.ScheduleBatch(0, []*engine.Request{r})[r.ID]
 	if !ok {
-		t.Fatal("pick failed")
+		t.Fatal("single-request batch left the request unplaced")
 	}
 	if e.Node(id).Cluster != 0 {
-		t.Fatal("single pick not local under low load")
+		t.Fatal("single-request batch not local under low load")
 	}
 }
 
@@ -388,8 +390,8 @@ func TestScheduleBatchIntoAllocFree(t *testing.T) {
 
 // Same budget for the overflow path (capacity exceeded, ρ-split and
 // λ-scaled second solve): still allocation-free, although the two
-// per-batch solves have different graph shapes so the single-entry memo
-// cannot replay.
+// per-batch solves have different graph shapes, so only their own
+// keyed memos can replay.
 func TestScheduleBatchIntoOverflowAllocFree(t *testing.T) {
 	_, e, _ := env(16000)
 	s := New(e, 1)

@@ -26,6 +26,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/res"
 	"repro/internal/sched"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -209,7 +210,8 @@ var BENames = []string{"DCG-BE", "GNN-SAC", "load-greedy", "k8s-native"}
 func MakeLCSched(name string) func(e *engine.Engine, seed int64) any {
 	switch name {
 	case "DSS-LC":
-		return func(e *engine.Engine, seed int64) any { return dsslc.New(e, seed) }
+		// A single shard is how core.New builds its default DSS-LC.
+		return func(e *engine.Engine, seed int64) any { return shard.New(e, seed, 1, 0) }
 	case "scoring":
 		return func(e *engine.Engine, seed int64) any { return sched.NewScoring(e.Topology()) }
 	case "load-greedy":

@@ -9,7 +9,7 @@
 // The solver is built for reuse: a Graph's node and edge arenas survive
 // Clear for the next period's rebuild, a Workspace (workspace.go) pools
 // all per-solve scratch so a warmed solver allocates nothing, and
-// WarmStart replays the memoized first Dijkstra pass when the rebuilt
+// WarmStartAt replays the memoized first Dijkstra pass when the rebuilt
 // graph has the same shape as the previous period's — producing
 // bit-identical results to a cold solve while skipping its most
 // expensive search.
@@ -82,9 +82,6 @@ func (g *Graph) AddNodes(n int) int {
 	return first
 }
 
-// NumNodes returns the node count.
-func (g *Graph) NumNodes() int { return len(g.adj) }
-
 // AddEdge adds a directed edge with the given capacity and nonnegative
 // cost, returning an EdgeID usable with Flow after solving.
 func (g *Graph) AddEdge(from, to int, capacity, cost int64) EdgeID {
@@ -125,60 +122,43 @@ type Result struct {
 // total cost. Pass math.MaxInt64 as maxFlow for a min-cost max-flow.
 // The graph retains the flow assignment for Flow queries.
 func (g *Graph) MinCostFlow(source, sink int, maxFlow int64) Result {
-	var m *memo
-	if g.ws != nil {
-		m = &g.ws.def
-	}
-	return g.solve(source, sink, maxFlow, false, m)
+	return g.solve(source, sink, maxFlow, nil)
 }
 
-// WarmStart is MinCostFlow with a cross-period warm start: when the
-// graph is pristine and its shape (node count, arc order, costs and
-// positive-capacity pattern) matches the workspace's memo from a
-// previous solve with the same source, the first Dijkstra pass is
-// replayed from the memo instead of recomputed. The replayed labels are
-// exactly what the cold pass would produce — capacity magnitudes do not
-// enter a Dijkstra over open arcs — so the solve trajectory, the
-// Result and every per-edge flow are identical to MinCostFlow's. When
-// the memo does not apply, WarmStart degrades to a cold solve (and
-// refreshes the memo for the next period).
-func (g *Graph) WarmStart(source, sink int, maxFlow int64) Result {
-	var m *memo
-	if g.ws != nil {
-		m = &g.ws.def
-	}
-	return g.solve(source, sink, maxFlow, true, m)
-}
-
-// WarmStartAt is WarmStart against the workspace's keyed memo table
-// instead of the single default entry: solves with the same key share
-// one memo, solves with different keys never evict each other. A
-// scheduler interleaving many commodities per period keys each solve by
-// its (cluster, type, phase) identity so every commodity warm-starts
-// from its own previous period — with the single-entry memo, rebuilding
-// a different commodity's graph shape between periods would miss every
-// time. Results are bit-identical to MinCostFlow, as with WarmStart.
-// Without a workspace attached it degrades to a cold solve.
+// WarmStartAt is MinCostFlow with a cross-period warm start from the
+// workspace's memo for key: when the graph is pristine and its shape
+// (node count, arc order, costs and positive-capacity pattern) matches
+// that memo's previous solve with the same source, the first Dijkstra
+// pass is replayed from the memo instead of recomputed. The replayed
+// labels are exactly what the cold pass would produce — capacity
+// magnitudes do not enter a Dijkstra over open arcs — so the solve
+// trajectory, the Result and every per-edge flow are identical to
+// MinCostFlow's. When the memo does not apply, WarmStartAt degrades to
+// a cold solve and refreshes the memo for the next period.
+//
+// Solves with the same key share one memo; solves with different keys
+// never evict each other. A scheduler interleaving many commodities per
+// period keys each solve by its (cluster, type, phase) identity, so
+// every commodity warm-starts from its own previous period. Without a
+// workspace attached it is a cold solve.
 func (g *Graph) WarmStartAt(key uint64, source, sink int, maxFlow int64) Result {
 	var m *memo
 	if g.ws != nil {
 		m = g.ws.memoAt(key)
 	}
-	return g.solve(source, sink, maxFlow, true, m)
+	return g.solve(source, sink, maxFlow, m)
 }
 
-// Warmed reports whether a WarmStart solve from source would currently
-// replay the memoized first pass rather than run a cold Dijkstra.
-func (g *Graph) Warmed(source int) bool {
-	return g.ws != nil && g.pristine && g.ws.def.matches(g, source)
-}
-
-// WarmedAt is Warmed for a keyed memo entry.
+// WarmedAt reports whether a WarmStartAt(key) solve from source would
+// currently replay the memoized first pass rather than run a cold
+// Dijkstra.
 func (g *Graph) WarmedAt(key uint64, source int) bool {
 	return g.ws != nil && g.pristine && g.ws.table[key].matches(g, source)
 }
 
-func (g *Graph) solve(source, sink int, maxFlow int64, warm bool, m *memo) Result {
+// solve runs the SSP solver. m is the warm-start memo to replay and
+// refresh, nil for a cold solve that leaves every memo alone.
+func (g *Graph) solve(source, sink int, maxFlow int64, m *memo) Result {
 	n := len(g.adj)
 	if source < 0 || source >= n || sink < 0 || sink >= n {
 		panic("flow: source/sink out of range")
@@ -204,10 +184,10 @@ func (g *Graph) solve(source, sink int, maxFlow int64, warm bool, m *memo) Resul
 	}
 	// The memo applies to the first iteration only: every later Dijkstra
 	// runs on a residual network the memo knows nothing about. Capture,
-	// conversely, happens on the first cold pass of a pristine solve
-	// when a persistent workspace is attached.
-	useMemo := warm && g.pristine && m.matches(g, source)
-	capture := g.ws != nil && g.pristine && !useMemo
+	// conversely, happens on the first cold pass of a pristine
+	// warm-started solve.
+	useMemo := g.pristine && m.matches(g, source)
+	capture := m != nil && g.pristine && !useMemo
 	first := true
 	var total Result
 
@@ -297,8 +277,8 @@ func (g *Graph) MaxFlow(source, sink int) int64 {
 }
 
 // Reset clears all flow, restoring original capacities. The warm-start
-// memo survives: a Reset graph is pristine again, so the next WarmStart
-// with an unchanged shape replays the memoized first pass.
+// memos survive: a Reset graph is pristine again, so the next
+// WarmStartAt with an unchanged shape replays the memoized first pass.
 func (g *Graph) Reset() {
 	for _, e := range g.edges {
 		a := &g.adj[e.from][e.idx]

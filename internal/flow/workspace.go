@@ -4,7 +4,7 @@ package flow
 // path steady-state allocation-free and carries the cross-period
 // warm-start memos.
 //
-// Every MinCostFlow/WarmStart solve needs four node-indexed scratch
+// Every MinCostFlow/WarmStartAt solve needs four node-indexed scratch
 // arrays (Johnson potentials, tentative distances, and the shortest-path
 // tree) plus a priority queue. Before the workspace, each solve built
 // them from scratch and the queue was a container/heap with `any`
@@ -31,16 +31,15 @@ package flow
 // Result and the same per-edge flows (the differential sweep in
 // internal/check proves this over hundreds of seeded graphs).
 //
-// A workspace holds one *default* memo (fed by WarmStart) plus a keyed
-// memo table (fed by WarmStartAt). A scheduler interleaving solves for
-// many (cluster, type) commodities per period rebuilds a different
-// graph shape per commodity; with a single memo entry each rebuild
-// evicts the previous commodity's first pass and the warm-hit rate
-// collapses to the single-commodity case. Keying the memo by the
-// caller's commodity identity gives every commodity its own entry, so
-// each one replays its own previous period. Table entries are created
-// on first sight of a key and reused forever after; steady-state keyed
-// solves allocate nothing.
+// A workspace holds a keyed memo table (fed by WarmStartAt). A
+// scheduler interleaving solves for many (cluster, type) commodities per
+// period rebuilds a different graph shape per commodity; under one
+// shared key each rebuild evicts the previous commodity's first pass
+// and the warm-hit rate collapses to the single-commodity case. Keying
+// the memo by the caller's commodity identity gives every commodity its
+// own entry, so each one replays its own previous period. Table entries
+// are created on first sight of a key and reused forever after;
+// steady-state keyed solves allocate nothing.
 
 // pqItem is one entry of the solver's priority queue.
 type pqItem struct {
@@ -122,9 +121,8 @@ type Workspace struct {
 	iter  []int
 	queue []int
 
-	// def is the default warm-start memo (WarmStart); table holds the
-	// keyed memos (WarmStartAt), created lazily per key.
-	def   memo
+	// table holds the warm-start memos (WarmStartAt), created lazily
+	// per key.
 	table map[uint64]*memo
 
 	// Solves counts solves routed through this workspace; WarmHits the
@@ -177,8 +175,7 @@ func (ws *Workspace) memoAt(key uint64) *memo {
 	return m
 }
 
-// MemoEntries reports how many keyed memo entries the workspace holds
-// (the default WarmStart memo is not counted).
+// MemoEntries reports how many keyed memo entries the workspace holds.
 func (ws *Workspace) MemoEntries() int { return len(ws.table) }
 
 // The priority queue is a hand-rolled index-based binary heap over the

@@ -35,10 +35,10 @@ func TestWarmStartReplaysMemo(t *testing.T) {
 	ws := NewWorkspace()
 	g.SetWorkspace(ws)
 	ids := buildDiamond(g)
-	if g.Warmed(0) {
+	if g.WarmedAt(0, 0) {
 		t.Fatal("fresh workspace claims warm")
 	}
-	r1 := g.WarmStart(0, 3, unbounded)
+	r1 := g.WarmStartAt(0, 0, 3, unbounded)
 	if r1.Flow != 5 || r1.Cost != 17 {
 		t.Fatalf("cold warm-start solve = %+v, want flow 5 cost 17", r1)
 	}
@@ -51,10 +51,10 @@ func TestWarmStartReplaysMemo(t *testing.T) {
 	}
 	// Reset: memo replays.
 	g.Reset()
-	if !g.Warmed(0) {
+	if !g.WarmedAt(0, 0) {
 		t.Fatal("not warmed after Reset")
 	}
-	if r := g.WarmStart(0, 3, unbounded); r != r1 {
+	if r := g.WarmStartAt(0, 0, 3, unbounded); r != r1 {
 		t.Fatalf("warm solve after Reset = %+v, cold = %+v", r, r1)
 	}
 	if ws.WarmHits != 1 {
@@ -62,10 +62,10 @@ func TestWarmStartReplaysMemo(t *testing.T) {
 	}
 	// Clear+rebuild: memo survives the period boundary.
 	ids = buildDiamond(g)
-	if !g.Warmed(0) {
+	if !g.WarmedAt(0, 0) {
 		t.Fatal("not warmed after Clear+rebuild of the same shape")
 	}
-	if r := g.WarmStart(0, 3, unbounded); r != r1 {
+	if r := g.WarmStartAt(0, 0, 3, unbounded); r != r1 {
 		t.Fatalf("warm solve after rebuild = %+v, cold = %+v", r, r1)
 	}
 	for i, id := range ids {
@@ -78,8 +78,28 @@ func TestWarmStartReplaysMemo(t *testing.T) {
 	}
 	// A different source must not replay the memo.
 	g.Reset()
-	if g.Warmed(1) {
+	if g.WarmedAt(0, 1) {
 		t.Fatal("warmed for a different source")
+	}
+}
+
+// TestMinCostFlowLeavesMemosAlone: a plain MinCostFlow is cold even with
+// a workspace attached; it neither captures nor replays a memo.
+func TestMinCostFlowLeavesMemosAlone(t *testing.T) {
+	g := NewGraph()
+	ws := NewWorkspace()
+	g.SetWorkspace(ws)
+	buildDiamond(g)
+	g.MinCostFlow(0, 3, unbounded)
+	g.Reset()
+	if g.WarmedAt(0, 0) || ws.MemoEntries() != 0 {
+		t.Fatal("cold MinCostFlow captured a memo")
+	}
+	g.WarmStartAt(0, 0, 3, unbounded)
+	g.Reset()
+	g.MinCostFlow(0, 3, unbounded)
+	if ws.WarmHits != 0 {
+		t.Fatalf("cold MinCostFlow replayed a memo: WarmHits = %d", ws.WarmHits)
 	}
 }
 
@@ -87,7 +107,7 @@ func TestWarmStartInvalidatedByShapeChange(t *testing.T) {
 	g := NewGraph()
 	g.SetWorkspace(NewWorkspace())
 	buildDiamond(g)
-	g.WarmStart(0, 3, unbounded)
+	g.WarmStartAt(0, 0, 3, unbounded)
 	// Change one cost: shape mismatch, cold fallback, memo refreshed.
 	g.Clear()
 	g.AddNodes(4)
@@ -95,16 +115,16 @@ func TestWarmStartInvalidatedByShapeChange(t *testing.T) {
 	g.AddEdge(1, 3, 2, 0)
 	g.AddEdge(0, 2, 3, 5)
 	g.AddEdge(2, 3, 3, 0)
-	if g.Warmed(0) {
+	if g.WarmedAt(0, 0) {
 		t.Fatal("warmed despite cost change")
 	}
-	r := g.WarmStart(0, 3, unbounded)
+	r := g.WarmStartAt(0, 0, 3, unbounded)
 	if r.Flow != 5 || r.Cost != 2*2+3*5 {
 		t.Fatalf("solve after cost change = %+v, want flow 5 cost 19", r)
 	}
 	// The fallback captured a fresh memo for the new shape.
 	g.Reset()
-	if !g.Warmed(0) {
+	if !g.WarmedAt(0, 0) {
 		t.Fatal("memo not refreshed by the cold fallback")
 	}
 }
@@ -114,7 +134,7 @@ func TestWarmStartCapacityDriftKeepsMemo(t *testing.T) {
 	ws := NewWorkspace()
 	g.SetWorkspace(ws)
 	buildDiamond(g)
-	g.WarmStart(0, 3, unbounded)
+	g.WarmStartAt(0, 0, 3, unbounded)
 	// Next period: same shape, larger capacities. Memo still applies and
 	// the warm result matches a cold solve of the grown graph.
 	g.Clear()
@@ -123,10 +143,10 @@ func TestWarmStartCapacityDriftKeepsMemo(t *testing.T) {
 	g.AddEdge(1, 3, 4, 0)
 	g.AddEdge(0, 2, 6, 5)
 	g.AddEdge(2, 3, 6, 0)
-	if !g.Warmed(0) {
+	if !g.WarmedAt(0, 0) {
 		t.Fatal("capacity drift invalidated the memo")
 	}
-	r := g.WarmStart(0, 3, unbounded)
+	r := g.WarmStartAt(0, 0, 3, unbounded)
 	if ws.WarmHits != 1 {
 		t.Fatalf("WarmHits = %d, want 1", ws.WarmHits)
 	}
@@ -142,7 +162,7 @@ func TestClearRetainsArenas(t *testing.T) {
 	g := NewGraph()
 	g.SetWorkspace(NewWorkspace())
 	buildDiamond(g)
-	g.WarmStart(0, 3, unbounded)
+	g.WarmStartAt(0, 0, 3, unbounded)
 	allocs := testing.AllocsPerRun(100, func() {
 		rebuildDiamond(g)
 	})
@@ -159,14 +179,14 @@ func TestWarmedSolveAllocFree(t *testing.T) {
 	g := NewGraph()
 	g.SetWorkspace(NewWorkspace())
 	buildDiamond(g)
-	g.WarmStart(0, 3, unbounded) // grow scratch, capture memo
+	g.WarmStartAt(0, 0, 3, unbounded) // grow scratch, capture memo
 
 	warm := testing.AllocsPerRun(100, func() {
 		g.Reset()
-		g.WarmStart(0, 3, unbounded)
+		g.WarmStartAt(0, 0, 3, unbounded)
 	})
 	if warm != 0 {
-		t.Fatalf("warm Reset+WarmStart allocates %.1f/op, want 0", warm)
+		t.Fatalf("warm Reset+WarmStartAt allocates %.1f/op, want 0", warm)
 	}
 	cold := testing.AllocsPerRun(100, func() {
 		rebuildDiamond(g)
@@ -205,7 +225,7 @@ func TestDinicWithoutWorkspaceStillCorrect(t *testing.T) {
 
 // TestWarmStartAtKeyedMemos is the per-commodity memo table: two
 // interleaved graph shapes keyed separately both warm-hit every period,
-// where the single-entry WarmStart memo would evict on every alternation.
+// where one shared key would evict on every alternation.
 func TestWarmStartAtKeyedMemos(t *testing.T) {
 	g := NewGraph()
 	ws := NewWorkspace()
@@ -253,8 +273,8 @@ func TestWarmStartAtKeyedMemos(t *testing.T) {
 	if ws.WarmHits != 6 {
 		t.Fatalf("WarmHits = %d, want 6 (every post-capture solve)", ws.WarmHits)
 	}
-	// The single-entry path alternating the same two shapes through
-	// WarmStart would never hit: each build evicts the other's memo.
+	// Alternating the same two shapes under one key never hits: each
+	// build evicts the other's memo.
 	ws2 := NewWorkspace()
 	g2 := NewGraph()
 	g2.SetWorkspace(ws2)
@@ -264,7 +284,7 @@ func TestWarmStartAtKeyedMemos(t *testing.T) {
 	g2.AddEdge(1, 3, 2, 0)
 	g2.AddEdge(0, 2, 3, 5)
 	g2.AddEdge(2, 3, 3, 0)
-	g2.WarmStart(0, 3, unbounded)
+	g2.WarmStartAt(0, 0, 3, unbounded)
 	for period := 0; period < 3; period++ {
 		g2.Clear()
 		g2.AddNodes(4)
@@ -272,17 +292,17 @@ func TestWarmStartAtKeyedMemos(t *testing.T) {
 		g2.AddEdge(1, 3, 2, 0)
 		g2.AddEdge(0, 2, 3, 2)
 		g2.AddEdge(2, 3, 3, 0)
-		g2.WarmStart(0, 3, unbounded)
+		g2.WarmStartAt(0, 0, 3, unbounded)
 		g2.Clear()
 		g2.AddNodes(4)
 		g2.AddEdge(0, 1, 2, 1)
 		g2.AddEdge(1, 3, 2, 0)
 		g2.AddEdge(0, 2, 3, 5)
 		g2.AddEdge(2, 3, 3, 0)
-		g2.WarmStart(0, 3, unbounded)
+		g2.WarmStartAt(0, 0, 3, unbounded)
 	}
 	if ws2.WarmHits != 0 {
-		t.Fatalf("single-entry alternation WarmHits = %d, want 0", ws2.WarmHits)
+		t.Fatalf("one-key alternation WarmHits = %d, want 0", ws2.WarmHits)
 	}
 }
 

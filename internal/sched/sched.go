@@ -2,8 +2,8 @@
 // dispatchers and the three baseline policies the paper compares against
 // (§7.2): k8s-native round-robin [9], load-greedy (lowest-load node) and
 // scoring (a weighted score over resource usage and transmission
-// latency, after [42]). DSS-LC and DCG-BE implement the same interface
-// in their own packages.
+// latency, after [42]). DCG-BE implements the same interface in its own
+// package; DSS-LC schedules whole batches instead (internal/dsslc).
 package sched
 
 import (

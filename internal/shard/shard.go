@@ -215,8 +215,8 @@ func (s *Scheduler) roundSequential(batches []Batch, out dsslc.Assignment, deliv
 	in.Tracer, in.OnDecision, in.OnSolve, in.Prof = s.Tracer, s.OnDecision, s.OnSolve, s.Prof
 	for _, b := range batches {
 		// A fresh map per batch keeps the inner scheduler's trace event
-		// (whose Value is the assignment-map size) identical to the
-		// unsharded dispatcher, which clears its map per cluster.
+		// (whose Value is the assignment-map size) that of a standalone
+		// DSS-LC instance fed one cleared map per cluster.
 		clear(st.assign)
 		in.ScheduleBatchInto(b.Cluster, b.Reqs, st.assign)
 		for id, nid := range st.assign {

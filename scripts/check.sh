@@ -28,6 +28,11 @@ go test -race ./internal/shard ./internal/dsslc ./internal/flow ./internal/topo
 echo "== go test -race =="
 go test -race -timeout 120m ./...
 
+echo "== benchmark module tests =="
+# A module of its own, so the pass above never builds it; its smoke test
+# drives core through an outside ScheduleBatchInto-only LC wrapper.
+(cd benchmark && go test .)
+
 echo "== replay smoke =="
 sh scripts/replay_smoke.sh
 
