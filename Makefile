@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench check fmt vet clean benchmark-test trace-smoke verify replay-smoke fuzz-smoke perf bench-smoke telemetry-smoke race-telemetry race-shard chaos-smoke race-chaos
+.PHONY: all build test race bench check fmt vet clean benchmark-test trace-smoke verify replay-smoke fuzz-smoke perf bench-smoke bench-pairs telemetry-smoke race-telemetry race-shard chaos-smoke race-chaos
 
 all: check
 
@@ -73,6 +73,16 @@ perf:
 # injected regression makes `tango-bench -compare` exit non-zero.
 bench-smoke:
 	sh scripts/bench_smoke.sh
+
+# Paired benchmark comparison of REV against the working tree: N
+# alternating-order pairs of untraced runs, per-pair run_s, medians,
+# quartiles and win count; fails on any outcome-digest mismatch.
+REV ?= HEAD
+WORKLOAD ?= fleet1k-lc
+SEED ?= 1
+N ?= 10
+bench-pairs:
+	bash scripts/bench_pairs.sh $(REV) $(WORKLOAD) $(SEED) $(N)
 
 # Live-telemetry smoke: run tango-sim -listen, scrape /metrics /runinfo
 # /trace/tail, validate the exposition via tango-top, and check the

@@ -26,9 +26,18 @@
 // Clears and rebuilds the graph inside the retained arenas, solves with
 // flow.Graph.WarmStartAt (replaying the previous period's first
 // Dijkstra pass when the topology shape is unchanged), and all
-// per-batch bookkeeping draws from pooled slices. ScheduleBatchInto is
-// steady-state allocation-free when tracing is off (asserted by
-// testing.AllocsPerRun in dsslc_test.go).
+// per-batch bookkeeping draws from pooled slices. Work that cannot
+// change inside one ScheduleBatchInto call is done once per batch, not
+// once per commodity solve: candidates prices every master→worker arc
+// (Eq. 3 delay, Eq. 4 link capacity) once per candidate cluster
+// through the live WAN overlay, and each worker's base availability
+// (§4.1 LC-available minus queued, in-transit and shard-pending
+// demand) is computed once, leaving each commodity to subtract only
+// what earlier commodities of the batch reserved. Nothing is cached
+// across batches, so WAN faults and node state changes between calls
+// always show in the next batch. ScheduleBatchInto is steady-state
+// allocation-free when tracing is off (asserted by
+// testing.AllocsPerRun in dsslc_test.go, at testbed and fleet shape).
 package dsslc
 
 import (
@@ -105,6 +114,9 @@ type Scheduler struct {
 	// between ScheduleBatchInto calls; they grow to the high-water mark
 	// of the run and are never released.
 	candBuf   []*engine.Node
+	costs     []int64 // per candidate: Eq. 3 delay (µs), set by candidates
+	links     []int64 // per candidate: Eq. 4 link capacity, set by candidates
+	base      []res.Vector
 	grouped   []*engine.Request
 	typeOff   []int32 // per-TypeID counts, then running offsets
 	reserved  []res.Vector
@@ -114,8 +126,6 @@ type Scheduler struct {
 	scaled    []int64
 	counts    []int64
 	edges     []flow.EdgeID
-	costs     []int64
-	links     []int64
 	fracs     fracSlice
 	neighbors []topo.ClusterID
 	// Single-entry cache for the geo-static neighbor-cluster list.
@@ -213,6 +223,19 @@ func (s *Scheduler) ScheduleBatchInto(c topo.ClusterID, reqs []*engine.Request, 
 	demand := growVectors(&s.demand, len(workers))
 	caps := growInt64s(&s.caps, len(workers))
 
+	// base is each worker's availability per §4.1 regulations (idle +
+	// BE-held) minus what earlier dispatch rounds queued at or sent
+	// toward it and what other schedulers booked there this period.
+	// None of that moves until the batch is delivered, so it is
+	// computed once per batch; each commodity subtracts only reserved.
+	base := growVectors(&s.base, len(workers))
+	for i, w := range workers {
+		base[i] = w.AvailableForLC().Sub(w.QueuedLCDemand()).Sub(w.InTransit())
+		if s.Pending != nil {
+			base[i] = base[i].Sub(s.Pending(w.ID))
+		}
+	}
+
 	book := func(counts []int64) {
 		for i, n := range counts {
 			if n != 0 {
@@ -234,14 +257,7 @@ func (s *Scheduler) ScheduleBatchInto(c topo.ClusterID, reqs []*engine.Request, 
 		var capTotal int64
 		for i, w := range workers {
 			demand[i] = w.EffectiveDemand(svc)
-			// Availability per §4.1 regulations (idle + BE-held), minus
-			// what earlier dispatch rounds queued at or sent toward the
-			// node and what this batch already assigned.
-			avail := w.AvailableForLC().Sub(w.QueuedLCDemand()).Sub(w.InTransit()).Sub(reserved[i])
-			if s.Pending != nil {
-				avail = avail.Sub(s.Pending(w.ID))
-			}
-			avail = avail.Max(res.Vector{})
+			avail := base[i].Sub(reserved[i]).Max(res.Vector{})
 			caps[i] = avail.CapacityCount(demand[i])
 			capTotal += caps[i]
 		}
@@ -279,13 +295,12 @@ func (s *Scheduler) ScheduleBatchInto(c topo.ClusterID, reqs []*engine.Request, 
 }
 
 // route solves one min-cost-flow instance: source → master (pending) →
-// workers (capacity caps, cost = transmission delay) → sink, then
+// workers (capacity min(caps, link capacity), cost = transmission
+// delay, both read from the batch's candidate table) → sink, then
 // assigns requests to workers according to the edge flows. It returns
 // the per-worker assignment counts (a pooled slice, valid until the
 // next route call) so the caller can book reservations.
 func (s *Scheduler) route(c topo.ClusterID, svc trace.TypeID, phase string, rs []*engine.Request, workers []*engine.Node, caps []int64, out Assignment) []int64 {
-	t := s.Engine.Topology()
-	masterID := t.Cluster(c).Master
 	s.Prof.Enter(perf.PhaseSolveGraphBuild)
 	g := s.g
 	if g == nil {
@@ -301,24 +316,11 @@ func (s *Scheduler) route(c topo.ClusterID, svc trace.TypeID, phase string, rs [
 	sink := g.AddNode()
 	g.AddEdge(src, master, int64(len(rs)), 0)
 	edges := growEdgeIDs(&s.edges, len(workers))
-	costs := growInt64s(&s.costs, len(workers))
-	links := growInt64s(&s.links, len(workers))
-	for i, w := range workers {
+	costs, links := s.costs, s.links
+	for i := range workers {
 		wn := g.AddNode()
-		// Transmission delay in microseconds as the cost (Eq. 3).
-		delayUS := int64(t.RTT(masterID, w.ID) / time.Microsecond)
-		// Link transmission capacity c_ij (Eq. 4): bound the number of
-		// requests the link can carry in one scheduling round.
-		linkCap := t.LinkBandwidth(masterID, w.ID)
-		if linkCap < 1 {
-			linkCap = 1
-		}
-		costs[i], links[i] = delayUS, linkCap
-		cap := caps[i]
-		if cap > linkCap {
-			cap = linkCap
-		}
-		edges[i] = g.AddEdge(master, wn, cap, delayUS)
+		cap := min(caps[i], links[i])
+		edges[i] = g.AddEdge(master, wn, cap, costs[i])
 		g.AddEdge(wn, sink, cap, 0)
 	}
 	s.Prof.Exit(perf.PhaseSolveGraphBuild)
@@ -408,26 +410,45 @@ func (s *Scheduler) leastLoadedLocal(c topo.ClusterID) topo.NodeID {
 	return best
 }
 
+// candidates builds the batch's candidate table: the live workers of
+// the home cluster and of every accepted geo-nearby cluster, with each
+// worker's master→worker link terms in the parallel costs and links
+// slices. Both terms depend only on the cluster pair, so they are
+// priced once per candidate cluster, through the live WAN overlay, and
+// hold for every commodity solve of the batch.
 func (s *Scheduler) candidates(c topo.ClusterID) []*engine.Node {
 	t := s.Engine.Topology()
-	out := s.candBuf[:0]
-	for _, w := range t.WorkersOf(c) {
-		if n := s.Engine.Node(w); !n.Down() {
-			out = append(out, n)
-		}
-	}
+	master := t.Cluster(c).Master
+	s.candBuf, s.costs, s.links = s.candBuf[:0], s.costs[:0], s.links[:0]
+	s.appendCluster(t, master, c)
 	for _, nc := range s.neighborsOf(t, c) {
 		if s.Restrict != nil && !s.Restrict(nc) {
 			continue
 		}
-		for _, w := range t.WorkersOf(nc) {
-			if n := s.Engine.Node(w); !n.Down() {
-				out = append(out, n)
-			}
+		s.appendCluster(t, master, nc)
+	}
+	return s.candBuf
+}
+
+// appendCluster appends cluster nc's live workers to the candidate
+// table, pricing the master→nc link once, on its first worker.
+func (s *Scheduler) appendCluster(t *topo.Topology, master topo.NodeID, nc topo.ClusterID) {
+	ws := t.WorkersOf(nc)
+	if len(ws) == 0 {
+		return
+	}
+	// Transmission delay in microseconds as the cost (Eq. 3).
+	delayUS := int64(t.RTT(master, ws[0]) / time.Microsecond)
+	// Link transmission capacity c_ij (Eq. 4): bound the number of
+	// requests the link can carry in one scheduling round.
+	linkCap := max(t.LinkBandwidth(master, ws[0]), 1)
+	for _, w := range ws {
+		if n := s.Engine.Node(w); !n.Down() {
+			s.candBuf = append(s.candBuf, n)
+			s.costs = append(s.costs, delayUS)
+			s.links = append(s.links, linkCap)
 		}
 	}
-	s.candBuf = out
-	return out
 }
 
 // neighborsOf caches the geo-nearby cluster list: cluster positions are

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/res"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -451,5 +452,153 @@ func BenchmarkScheduleBatchInto(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		clear(out)
 		s.ScheduleBatchInto(0, reqs, out)
+	}
+}
+
+// TestLinkCostsTrackOverlayAcrossBatches pins that the per-batch
+// candidate table is priced through the WAN overlay current at each
+// ScheduleBatchInto call: an RTT storm, a partition and a heal applied
+// between calls on one scheduler must show up in the next batch's
+// audited costs and placements, exactly as on a freshly built
+// scheduler. A link table cached across batches fails here.
+func TestLinkCostsTrackOverlayAcrossBatches(t *testing.T) {
+	s0 := sim.New()
+	b := topo.NewBuilder()
+	w := []res.Vector{res.V(4000, 8192, 500), res.V(4000, 8192, 500)}
+	b.AddCluster(30, 120, res.V(8000, 16384, 1000), w)
+	b.AddCluster(30.5, 120, res.V(8000, 16384, 1000), w) // ~55 km
+	b.AddCluster(29.6, 120, res.V(8000, 16384, 1000), w) // ~44 km: preferred spill
+	tp := b.Build()
+	e := engine.New(engine.Config{Sim: s0, Topo: tp, Catalog: trace.DefaultCatalog(), Policy: engine.GreedyPolicy{}})
+	// 12 type-3 requests: 8 fill the home cluster, 4 spill to the
+	// cheapest neighbor. Capacity covers demand, so no ρ draw makes the
+	// reused and the fresh scheduler diverge.
+	reqs := lcReqs(e, 12, 3)
+	master := tp.Cluster(0).Master
+
+	var decisions []obs.Decision
+	s := New(e, 1)
+	s.Tracer = obs.NewTracer(func() time.Duration { return 0 }, obs.NullSink{})
+	s.OnDecision = func(d obs.Decision) { decisions = append(decisions, d) }
+
+	spillCluster := func(a Assignment) topo.ClusterID {
+		spill := topo.ClusterID(-1)
+		for _, nid := range a {
+			if c := e.Node(nid).Cluster; c != 0 {
+				if spill >= 0 && c != spill {
+					t.Fatalf("spill split across clusters %d and %d", spill, c)
+				}
+				spill = c
+			}
+		}
+		return spill
+	}
+	steps := []struct {
+		name  string
+		apply func()
+		spill topo.ClusterID
+	}{
+		{"healthy", func() {}, 2},
+		{"storm 0-2", func() { tp.Net().SetRTTFactor(0, 2, 3) }, 1},
+		{"partition 0-1", func() { tp.Net().Partition(0, 1) }, 2},
+		{"heal", func() { tp.Net().Heal(0, 1); tp.Net().ClearRTTFactor(0, 2) }, 2},
+	}
+	for _, st := range steps {
+		st.apply()
+		decisions = decisions[:0]
+		got := make(Assignment, len(reqs))
+		s.ScheduleBatchInto(0, reqs, got)
+		if len(got) != len(reqs) {
+			t.Fatalf("%s: assigned %d of %d", st.name, len(got), len(reqs))
+		}
+		if c := spillCluster(got); c != st.spill {
+			t.Fatalf("%s: spilled to cluster %d, want %d", st.name, c, st.spill)
+		}
+		want := make(Assignment, len(reqs))
+		New(e, 1).ScheduleBatchInto(0, reqs, want)
+		for id, nid := range want {
+			if got[id] != nid {
+				t.Fatalf("%s: request %d -> %d on the reused scheduler, %d on a fresh one", st.name, id, got[id], nid)
+			}
+		}
+		if len(decisions) != 1 {
+			t.Fatalf("%s: %d decision audits, want 1", st.name, len(decisions))
+		}
+		for _, c := range decisions[0].Candidates {
+			nid := topo.NodeID(c.Node)
+			if wantUS := int64(tp.RTT(master, nid) / time.Microsecond); c.CostUS != wantUS {
+				t.Fatalf("%s: node %d audited cost %d µs, RTT under the current overlay is %d µs", st.name, nid, c.CostUS, wantUS)
+			}
+			if wantCap := max(tp.LinkBandwidth(master, nid), 1); c.LinkCap != wantCap {
+				t.Fatalf("%s: node %d audited link cap %d, want %d", st.name, nid, c.LinkCap, wantCap)
+			}
+		}
+	}
+}
+
+// TestScheduleBatchIntoFleetAllocFree holds the zero-allocation budget
+// at fleet shape: a 104-cluster dual-space topology, batches spanning
+// every LC type, one within capacity (case 1 of Algorithm 2 for every
+// type) and one over it (ρ-split plus λ-scaled Ĝ'_k solve per type).
+// The per-batch candidate table and base-availability buffers must be
+// pooled like the rest.
+func TestScheduleBatchIntoFleetAllocFree(t *testing.T) {
+	tp := topo.DualSpace(100, 1)
+	cat := trace.DefaultCatalog()
+	e := engine.New(engine.Config{Sim: sim.New(), Topo: tp, Catalog: cat, Policy: engine.GreedyPolicy{}})
+	s := New(e, 1)
+	const home = topo.ClusterID(0)
+	workers := s.candidates(home)
+	if len(workers) < 100 {
+		t.Fatalf("only %d candidates: not fleet shape", len(workers))
+	}
+	var small, big []*engine.Request
+	id := int64(0)
+	add := func(dst *[]*engine.Request, svc trace.TypeID, n int64) {
+		for ; n > 0; n-- {
+			*dst = append(*dst, e.NewRequest(trace.Request{ID: id, Type: svc, Class: trace.LC, Cluster: home}))
+			id++
+		}
+	}
+	for _, svc := range cat.LCTypes() {
+		add(&small, svc, 3)
+		// More requests of each type than the whole candidate set could
+		// take alone, so every type overflows.
+		var slots int64
+		for _, w := range workers {
+			slots += w.AvailableForLC().CapacityCount(w.EffectiveDemand(svc))
+		}
+		add(&big, svc, slots+5)
+	}
+	for _, tc := range []struct {
+		name  string
+		reqs  []*engine.Request
+		phase string
+	}{{"within capacity", small, obs.PhaseImmediate}, {"overflow", big, obs.PhaseOverflow}} {
+		out := make(Assignment, len(tc.reqs))
+		var phases []string
+		s.Tracer = obs.NewTracer(func() time.Duration { return 0 }, obs.NullSink{})
+		s.OnDecision = func(d obs.Decision) { phases = append(phases, d.Phase) }
+		s.ScheduleBatchInto(home, tc.reqs, out)
+		s.Tracer, s.OnDecision = nil, nil
+		if len(out) != len(tc.reqs) {
+			t.Fatalf("%s: warm-up assigned %d of %d", tc.name, len(out), len(tc.reqs))
+		}
+		seen := 0
+		for _, p := range phases {
+			if p == tc.phase {
+				seen++
+			}
+		}
+		if seen != len(cat.LCTypes()) {
+			t.Fatalf("%s: %d %s solves over %d LC types (phases %v)", tc.name, seen, tc.phase, len(cat.LCTypes()), phases)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			clear(out)
+			s.ScheduleBatchInto(home, tc.reqs, out)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: warmed fleet-shape ScheduleBatchInto allocates %.1f/op, want 0", tc.name, allocs)
+		}
 	}
 }

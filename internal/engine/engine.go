@@ -591,7 +591,7 @@ func (n *Node) EffectiveDemand(t trace.TypeID) res.Vector {
 	if v, ok := n.AllocOverride[t]; ok {
 		return v
 	}
-	return n.eng.cfg.Catalog.Type(t).MinDemand
+	return n.eng.cfg.Catalog.MinDemand(t)
 }
 
 // Utilization returns Used/Capacity as the dominant-share fraction.

@@ -8,6 +8,7 @@ package sched
 
 import (
 	"math"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -91,9 +92,17 @@ func (s *Scoring) Pick(r *engine.Request, cands []*engine.Node) (topo.NodeID, bo
 	}
 	master := s.Topo.Cluster(r.Cluster).Master
 	best, bestScore := cands[0], math.Inf(-1)
+	// RTT(master, n) depends only on n's cluster (candidates are
+	// workers, never the master), and candidates usually come cluster
+	// by cluster, so a run of same-cluster candidates reuses the first
+	// one's great-circle RTT.
+	rttCluster, rtt := topo.ClusterID(-1), time.Duration(0)
 	for _, n := range cands {
 		free := 1 - n.ProjectedUtilization()
-		rttMs := float64(s.Topo.RTT(master, n.ID)) / 1e6
+		if n.Cluster != rttCluster {
+			rtt, rttCluster = s.Topo.RTT(master, n.ID), n.Cluster
+		}
+		rttMs := float64(rtt) / 1e6
 		lcq, beq := n.QueueLen()
 		score := s.WFree*free - s.WLatency*(rttMs/100) - s.WQueue*float64(lcq+beq)/10
 		if score > bestScore || (score == bestScore && n.ID < best.ID) {

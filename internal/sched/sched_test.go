@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/engine"
@@ -131,5 +133,42 @@ func TestSchedulerNames(t *testing.T) {
 	}
 	if NewScoring(tp).Name() != "scoring" {
 		t.Fatal("Scoring name")
+	}
+}
+
+// Scoring reuses one RTT per run of same-cluster candidates; the pick
+// must equal the direct per-candidate score in any candidate order,
+// including orders that interleave clusters.
+func TestScoringRTTReuseAnyOrder(t *testing.T) {
+	e, tp := env()
+	sc := NewScoring(tp)
+	cands := CandidatesLC(e, 0, 5000)
+	for i, n := range cands {
+		for j := 0; j < i%3; j++ {
+			e.DispatchLocal(e.NewRequest(trace.Request{ID: int64(100*i + j), Type: 6, Class: trace.BE, Cluster: 0}), n.ID)
+		}
+	}
+	direct := func(r *engine.Request, cands []*engine.Node) topo.NodeID {
+		master := tp.Cluster(r.Cluster).Master
+		best, bestScore := cands[0], math.Inf(-1)
+		for _, n := range cands {
+			rttMs := float64(tp.RTT(master, n.ID)) / 1e6
+			lcq, beq := n.QueueLen()
+			score := sc.WFree*(1-n.ProjectedUtilization()) - sc.WLatency*(rttMs/100) - sc.WQueue*float64(lcq+beq)/10
+			if score > bestScore || (score == bestScore && n.ID < best.ID) {
+				best, bestScore = n, score
+			}
+		}
+		return best.ID
+	}
+	rng := rand.New(rand.NewSource(1))
+	perm := append([]*engine.Node(nil), cands...)
+	for trial := 0; trial < 200; trial++ {
+		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		r := lcReq(e, int64(trial), topo.ClusterID(trial%len(tp.Clusters)))
+		got, ok := sc.Pick(r, perm)
+		if want := direct(r, perm); !ok || got != want {
+			t.Fatalf("trial %d: Pick = %d, direct scoring = %d", trial, got, want)
+		}
 	}
 }

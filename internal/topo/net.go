@@ -45,9 +45,10 @@ func (t *Topology) Net() *NetOverlay {
 	return t.net
 }
 
-// NetActive reports whether any WAN fault is currently applied. The
-// dispatch paths use it to skip reachability filtering entirely on
-// healthy (and chaos-free) runs.
+// NetActive reports whether any WAN fault (partition or RTT storm) is
+// currently applied, without materializing the overlay. No dispatch
+// path consults it: they read the overlay through RTT, ClusterRTT and
+// Reachable, which apply it on every call.
 func (t *Topology) NetActive() bool {
 	return t.net != nil && (len(t.net.cut) > 0 || len(t.net.rttFactor) > 0)
 }

@@ -82,11 +82,18 @@ func DefaultCatalog() *Catalog {
 }
 
 // Type returns the service type with the given ID.
-func (c *Catalog) Type(id TypeID) ServiceType {
+func (c *Catalog) Type(id TypeID) ServiceType { return *c.at(id) }
+
+// MinDemand returns the minimum demand of the service type with the
+// given ID, read in place rather than through a ServiceType copy: it
+// sits on the schedulers' per-worker, per-request paths.
+func (c *Catalog) MinDemand(id TypeID) res.Vector { return c.at(id).MinDemand }
+
+func (c *Catalog) at(id TypeID) *ServiceType {
 	if int(id) < 0 || int(id) >= len(c.Types) {
 		panic(fmt.Sprintf("trace: type %d out of range", id))
 	}
-	return c.Types[id]
+	return &c.Types[id]
 }
 
 // LCTypes returns the IDs of latency-critical types.

@@ -60,6 +60,25 @@ func TestCatalogTypePanics(t *testing.T) {
 	DefaultCatalog().Type(99)
 }
 
+func TestCatalogMinDemand(t *testing.T) {
+	c := DefaultCatalog()
+	for _, st := range c.Types {
+		if got := c.MinDemand(st.ID); got != c.Type(st.ID).MinDemand {
+			t.Fatalf("MinDemand(%d) = %v, Type(%d).MinDemand = %v", st.ID, got, st.ID, st.MinDemand)
+		}
+	}
+	for _, id := range []TypeID{-1, TypeID(len(c.Types))} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("MinDemand(%d) did not panic", id)
+				}
+			}()
+			c.MinDemand(id)
+		}()
+	}
+}
+
 func TestClassAndPatternStrings(t *testing.T) {
 	if LC.String() != "LC" || BE.String() != "BE" {
 		t.Fatal("Class strings")
