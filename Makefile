@@ -53,15 +53,17 @@ verify: vet race replay-smoke
 replay-smoke:
 	sh scripts/replay_smoke.sh
 
-# 20-second fuzz budget over the native fuzz targets (5 s each): the
+# 25-second fuzz budget over the native fuzz targets (5 s each): the
 # MCNF differential oracle, the trace CSV round-trip, the chaos
 # survival oracle under fuzzer-chosen fault programs, and the nn
-# kernels against their reference loops, bit for bit.
+# kernels and the live-row actor against their reference loops, bit
+# for bit.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzMinCostFlow -fuzztime 5s ./internal/flow
 	$(GO) test -run xxx -fuzz FuzzTraceCSV -fuzztime 5s ./internal/trace
 	$(GO) test -run xxx -fuzz FuzzChaosProgram -fuzztime 5s ./internal/check
 	$(GO) test -run xxx -fuzz FuzzMatMulInto -fuzztime 5s ./internal/nn
+	$(GO) test -run xxx -fuzz FuzzLiveRows -fuzztime 5s ./internal/rl
 
 # Write a BENCH_<date>.json perf snapshot (solver/engine/cgroup ns/op
 # plus per-phase breakdowns) into the repo root for the perf trajectory

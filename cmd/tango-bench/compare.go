@@ -87,6 +87,7 @@ func compareSnapshots(oldS, newS *perfSnapshot, nsPct, allocPct float64) []compa
 		newRow("cgroup_resize_ns_op", oldS.CgroupResizeNsOp, newS.CgroupResizeNsOp, nsPct),
 		newRow("rl_update_ns_op", oldS.RLUpdateNsOp, newS.RLUpdateNsOp, nsPct),
 		newRow("nn_matmul_ns_op", oldS.NNMatMulNsOp, newS.NNMatMulNsOp, nsPct),
+		newRow("rl_probs_ns_op", oldS.RLProbsNsOp, newS.RLProbsNsOp, nsPct),
 	}
 	// Shard rows compare only when both snapshots swept the same fleet
 	// size; a baseline predating the shard section (or a quick-vs-full

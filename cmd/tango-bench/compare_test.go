@@ -31,8 +31,8 @@ func TestCompareIdenticalSnapshotsClean(t *testing.T) {
 	if n, names := countRegressions(rows); n != 0 {
 		t.Fatalf("self compare regressed: %v", names)
 	}
-	if len(rows) != 7+2*3 {
-		t.Fatalf("row count = %d, want 13", len(rows))
+	if len(rows) != 8+2*3 {
+		t.Fatalf("row count = %d, want 14", len(rows))
 	}
 }
 
@@ -155,12 +155,13 @@ func TestCompareImprovementAndMissingSidesNeverRegress(t *testing.T) {
 // baseline taken before they existed leaves them informational.
 func TestCompareLearningRows(t *testing.T) {
 	old := baseSnap()
-	old.RLUpdateNsOp, old.NNMatMulNsOp = 30e6, 150e3
+	old.RLUpdateNsOp, old.NNMatMulNsOp, old.RLProbsNsOp = 30e6, 150e3, 2e6
 	ns := baseSnap()
 	ns.RLUpdateNsOp, ns.NNMatMulNsOp = 45e6, 140e3 // update +50%, matmul -7%
+	ns.RLProbsNsOp = 3e6                           // probs +50%
 	n, names := countRegressions(compareSnapshots(old, ns, 25, 10))
-	if n != 1 || names[0] != "rl_update_ns_op" {
-		t.Fatalf("regressions = %v, want [rl_update_ns_op]", names)
+	if n != 2 || names[0] != "rl_update_ns_op" || names[1] != "rl_probs_ns_op" {
+		t.Fatalf("regressions = %v, want [rl_update_ns_op rl_probs_ns_op]", names)
 	}
 	if n, names := countRegressions(compareSnapshots(baseSnap(), ns, 25, 10)); n != 0 {
 		t.Fatalf("rows missing from the baseline regressed: %v", names)

@@ -65,11 +65,15 @@ type perfSnapshot struct {
 	// writes) alternating between two limit pairs.
 	CgroupResizeNsOp float64 `json:"cgroup_resize_ns_op"`
 
-	// Learning stack: one DCG-BE A2C.Update over 32 transitions on the
-	// 16-node testbed graph, and one nn.MatMulInto at the actor's middle
-	// layer for that graph ((16×256 ReLU output)·(256×128 weights)).
+	// Learning stack: one DCG-BE A2C.Update over 32 unmasked transitions
+	// on the 16-node testbed graph, one nn.MatMulInto at the actor's
+	// middle layer for that graph ((16×256 ReLU output)·(256×128
+	// weights)), and one masked A2C.Probs on the 123-node DualSpace(12)
+	// graph with a fixed mask admitting about 64 % of the nodes, the
+	// share the context filter admits on fleet-infer.
 	RLUpdateNsOp float64 `json:"rl_update_ns_op,omitempty"`
 	NNMatMulNsOp float64 `json:"nn_matmul_ns_op,omitempty"`
+	RLProbsNsOp  float64 `json:"rl_probs_ns_op,omitempty"`
 
 	// Shard: one cold sharded ScheduleRound per shard count over the
 	// standard scale-suite fleet (experiments.ShardRound: shard_nodes/20
@@ -184,8 +188,9 @@ func cgroupMicro() (func(), *cgroup.Hierarchy, error) {
 
 // learningMicro times the DCG-BE learning stack at the paper testbed's
 // shape: A2C.Update over 32 transitions with random states on the
-// scheduler's own graph, and the actor's widest matmul.
-func learningMicro(seed int64, budget time.Duration) (updateNs, matmulNs float64) {
+// scheduler's own graph, and the actor's widest matmul; then masked
+// inference at fleet shape, A2C.Probs on the DualSpace(12) graph.
+func learningMicro(seed int64, budget time.Duration) (updateNs, matmulNs, probsNs float64) {
 	e := engine.New(engine.Config{Sim: sim.New(), Topo: topo.PhysicalTestbed(),
 		Catalog: trace.DefaultCatalog(), Policy: engine.GreedyPolicy{}})
 	be := dcgbe.New(e, seed)
@@ -210,7 +215,22 @@ func learningMicro(seed int64, budget time.Duration) (updateNs, matmulNs float64
 	nn.XavierInit(w, rng)
 	out := nn.MatMulInto(nil, a, w)
 	matmulNs = timeOp(budget, func() { out = nn.MatMulInto(out, a, w) })
-	return updateNs, matmulNs
+
+	fleet := dcgbe.New(engine.New(engine.Config{Sim: sim.New(), Topo: topo.DualSpace(12, seed),
+		Catalog: trace.DefaultCatalog(), Policy: engine.GreedyPolicy{}}), seed)
+	fg := fleet.Graph()
+	x := nn.NewMat(fg.N, dcgbe.FeatureDim)
+	for j := range x.Data {
+		x.Data[j] = rng.Float64()
+	}
+	mask := make([]bool, fg.N)
+	for j := range mask {
+		mask[j] = rng.Float64() < 0.64
+	}
+	fa := fleet.Agent.(*rl.A2C)
+	fa.Probs(fg, x, mask) // sizes the layer buffers
+	probsNs = timeOp(budget, func() { fa.Probs(fg, x, mask) })
+	return updateNs, matmulNs, probsNs
 }
 
 func writePerfSnapshot(dir string, seed int64, quick bool) (string, error) {
@@ -334,7 +354,7 @@ func writePerfSnapshot(dir string, seed int64, quick bool) (string, error) {
 	}
 	snap.CgroupPhases = phaseRows(cp)
 
-	snap.RLUpdateNsOp, snap.NNMatMulNsOp = learningMicro(seed, budget)
+	snap.RLUpdateNsOp, snap.NNMatMulNsOp, snap.RLProbsNsOp = learningMicro(seed, budget)
 
 	path := filepath.Join(dir, "BENCH_"+snap.Date+".json")
 	f, err := os.Create(path)
@@ -353,7 +373,8 @@ func writePerfSnapshot(dir string, seed int64, quick bool) (string, error) {
 	fmt.Printf("perf: solver %.0f ns/op (warm %.0f, %d/%d warm hits), dinic %.0f ns/op, engine %.0f ns/event (%d events), cgroup resize %.0f ns/op\n",
 		snap.SolverNsOp, snap.SolverWarmNsOp, snap.SolverWarmHits, snap.SolverSolves,
 		snap.DinicNsOp, snap.EngineEventNs, snap.EngineEvents, snap.CgroupResizeNsOp)
-	fmt.Printf("perf: rl update %.0f ns/op, nn matmul %.0f ns/op\n", snap.RLUpdateNsOp, snap.NNMatMulNsOp)
+	fmt.Printf("perf: rl update %.0f ns/op, nn matmul %.0f ns/op, rl probs %.0f ns/op\n",
+		snap.RLUpdateNsOp, snap.NNMatMulNsOp, snap.RLProbsNsOp)
 	fmt.Printf("perf: shard round (%d nodes):", snap.ShardNodes)
 	for _, r := range snap.ShardRows {
 		fmt.Printf(" k=%d %.0fms (%.0f req/s)", r.Shards, r.WallMs, r.ReqsPerSec)

@@ -349,15 +349,7 @@ func (s *Scheduler) choose(probs []float64) int {
 		}
 		return bi
 	}
-	xv := s.rng.Float64()
-	acc := 0.0
-	for i, p := range probs {
-		acc += p
-		if xv < acc {
-			return i
-		}
-	}
-	return len(probs) - 1
+	return rl.Sample(s.rng, probs)
 }
 
 // record books the transition, trains on schedule, and returns the pick.

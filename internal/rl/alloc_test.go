@@ -25,8 +25,9 @@ func updateBatch(rng *rand.Rand, g *gnn.Graph, n int) []Transition {
 // Steady-state Update allocation budgets. After the first call has
 // sized every buffer, an update allocates nothing at all; the budget is
 // pinned at the testbed shape (16 nodes, the paper's 7→32→32 GraphSAGE
-// with 256/128/32 heads) and must not grow with node count or layer
-// width.
+// with 256/128/32 heads) and must not grow with node count, layer width
+// or a live-row count that varies between transitions (the live-row
+// actor's buffers are sized by the largest live set).
 func TestUpdateAllocationBudget(t *testing.T) {
 	const budget = 0
 	for _, tc := range []struct {
@@ -48,10 +49,38 @@ func TestUpdateAllocationBudget(t *testing.T) {
 			} else {
 				update = NewSAC(enc, tc.emb, rng).Update
 			}
-			batch := updateBatch(rng, g, 8)
-			if n := testing.AllocsPerRun(2, func() { update(batch) }); n > budget {
-				t.Errorf("%s %s: Update allocates %v per call, budget %d", tc.name, agentName, n, budget)
+			n := g.N
+			for _, b := range []struct {
+				name  string
+				batch []Transition
+			}{
+				{"random masks", updateBatch(rng, g, 8)},
+				{"varying live set", oracleBatch(rng, g, []int{1, n - 2, 0, n, n / 3, -1, n / 2, 2})},
+			} {
+				if allocs := testing.AllocsPerRun(2, func() { update(b.batch) }); allocs > budget {
+					t.Errorf("%s %s, %s: Update allocates %v per call, budget %d", tc.name, agentName, b.name, allocs, budget)
+				}
 			}
+		}
+	}
+}
+
+// Probs allocates only the distribution it hands out, whatever the
+// mask admits.
+func TestProbsAllocationBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := goldenGraph()
+	a2c := NewA2C(gnn.NewSAGE(rng, 3, goldenFeatures, goldenEmb, goldenEmb), goldenEmb, rng)
+	sac := NewSAC(gnn.NewSAGE(rng, 3, goldenFeatures, goldenEmb, goldenEmb), goldenEmb, rng)
+	states := oracleBatch(rng, g, []int{g.N, 1, 0, -1, 9, 4})
+	for _, ag := range []goldenAgent{a2c, sac} {
+		probs := func() {
+			for _, tr := range states {
+				ag.Probs(g, tr.X, tr.Mask)
+			}
+		}
+		if n := testing.AllocsPerRun(2, probs) / float64(len(states)); n != 1 {
+			t.Errorf("%T: Probs allocates %v per call, want 1", ag, n)
 		}
 	}
 }

@@ -7,7 +7,12 @@
 //
 // Both agents act over a variable-size node set: the actor scores each
 // node embedding with shared weights, so the same parameters work for any
-// topology size — matching GraphSAGE's inductive encoding.
+// topology size — matching GraphSAGE's inductive encoding. The encoder
+// embeds every node, but the actor scores only the nodes the mask admits
+// (the live rows): a filtered node's probability is +0 without running
+// the actor on it, and it adds nothing to the actor's gradients, exactly
+// as if the actor had scored it and the mask had zeroed it (DESIGN.md
+// §4.9).
 package rl
 
 import (
@@ -43,8 +48,9 @@ type A2C struct {
 	rng *rand.Rand
 	ps  []*nn.Param // params(), collected once
 
+	live liveActor // the actor on the rows the mask admits
 	// Update scratch, reused across calls.
-	returns, probs      []float64
+	returns             []float64
 	pooled, dV, dLogits *nn.Mat
 }
 
@@ -75,22 +81,16 @@ func (a *A2C) params() []*nn.Param {
 	return ps
 }
 
-// logits computes the per-node action logits for the state: the actor's
-// N×1 output, valid until the actor's next call.
-func (a *A2C) logits(g *gnn.Graph, x *nn.Mat) []float64 {
-	return a.Actor.Forward(a.Enc.Forward(g, x)).Data
-}
-
 // Probs returns the masked action distribution π(a|s) in a fresh slice
 // the caller may keep.
 func (a *A2C) Probs(g *gnn.Graph, x *nn.Mat, mask []bool) []float64 {
-	return nn.SoftmaxRow(a.logits(g, x), mask)
+	return a.live.probs(a.Actor, a.Enc.Forward(g, x), mask)
 }
 
 // SelectAction samples from the masked policy.
 func (a *A2C) SelectAction(g *gnn.Graph, x *nn.Mat, mask []bool) int {
 	p := a.Probs(g, x, mask)
-	return sample(a.rng, p)
+	return Sample(a.rng, p)
 }
 
 // GreedyAction returns argmax of the masked policy.
@@ -145,7 +145,7 @@ func (a *A2C) Update(batch []Transition) Stats {
 		}
 		// Forward pass (fresh caches for this transition).
 		emb := a.Enc.Forward(tr.Graph, tr.X)
-		probs := nn.SoftmaxRowInto(grow(&a.probs, tr.Graph.N), a.Actor.Forward(emb).Data, tr.Mask)
+		probs := a.live.forward(a.Actor, emb, tr.Mask)
 
 		a.pooled = nn.MeanRowsInto(a.pooled, emb)
 		v := a.Critic.Forward(a.pooled).At(0, 0)
@@ -158,7 +158,8 @@ func (a *A2C) Update(batch []Transition) Stats {
 
 		// Actor gradient: policy-gradient through masked softmax plus
 		// entropy bonus. dL/dlogit_j = (π_j − 1{j=a})·A − β·dH/dlogit_j,
-		// with dH/dlogit_j = −π_j (log π_j + H).
+		// with dH/dlogit_j = −π_j (log π_j + H). probs has one entry per
+		// actor row; a node the actor did not score has π = 0.
 		ent := 0.0
 		for _, p := range probs {
 			if p > 0 {
@@ -166,15 +167,20 @@ func (a *A2C) Update(batch []Transition) Stats {
 			}
 		}
 		st.Entropy += ent
-		a.dLogits = nn.Reuse(a.dLogits, tr.Graph.N, 1)
+		a.dLogits = nn.Reuse(a.dLogits, len(probs), 1)
 		a.dLogits.Zero()
 		scale := 1.0 / float64(len(batch))
+		pa := 0.0 // π(tr.Action)
 		for j, p := range probs {
-			if tr.Mask != nil && !tr.Mask[j] {
+			node := a.live.rows[j]
+			if node == tr.Action {
+				pa = p
+			}
+			if tr.Mask != nil && !tr.Mask[node] {
 				continue // masked logits receive no gradient
 			}
 			g := p * adv
-			if j == tr.Action {
+			if node == tr.Action {
 				g -= adv
 			}
 			// entropy derivative
@@ -183,7 +189,7 @@ func (a *A2C) Update(batch []Transition) Stats {
 			}
 			a.dLogits.Data[j] = g * scale
 		}
-		dEmb := a.Actor.Backward(a.dLogits)
+		dEmb := a.live.backward(a.Actor, a.dLogits, emb.R)
 
 		// Combine embedding gradients: actor path + critic pooled path,
 		// summed in place in the actor's input-gradient buffer.
@@ -196,8 +202,8 @@ func (a *A2C) Update(batch []Transition) Stats {
 		}
 		a.Enc.Backward(dEmb)
 
-		if probs[tr.Action] > 0 {
-			st.PolicyLoss += -math.Log(probs[tr.Action]) * adv * scale
+		if pa > 0 {
+			st.PolicyLoss += -math.Log(pa) * adv * scale
 		}
 		st.ValueLoss += adv * adv * scale
 	}
@@ -217,7 +223,11 @@ func grow(s *[]float64, n int) []float64 {
 	return *s
 }
 
-func sample(rng *rand.Rand, probs []float64) int {
+// Sample draws an index from the distribution probs with one
+// rng.Float64. When rounding leaves the cumulative sum at or below the
+// draw, it returns the last index with nonzero probability, so it never
+// picks a node the mask filtered out.
+func Sample(rng *rand.Rand, probs []float64) int {
 	x := rng.Float64()
 	acc := 0.0
 	for i, p := range probs {
@@ -226,7 +236,83 @@ func sample(rng *rand.Rand, probs []float64) int {
 			return i
 		}
 	}
+	for i := len(probs) - 1; i >= 0; i-- {
+		if probs[i] > 0 {
+			return i
+		}
+	}
 	return len(probs) - 1
+}
+
+// liveActor runs a shared-weight actor on the rows of an embedding that
+// a context-filter mask admits, the live rows. Every actor layer works
+// row by row, so a live row's logit is the one a full pass computes, and
+// the softmax over the live logits alone takes the same maximum and sum
+// in the same order as the masked softmax over all of them. In a full
+// backward pass a masked row carries +0 through every layer and adds
+// only ±0 terms to gradient sums that start at +0 and so never hold −0:
+// leaving those rows out changes no bit (DESIGN.md §4.9). Buffers are
+// sized by the largest row set seen and reused.
+type liveActor struct {
+	rows []int     // embedding row of each actor row, ascending
+	x    *nn.Mat   // the live rows of the embedding, gathered
+	p    []float64 // softmax over the actor rows
+	dEmb *nn.Mat   // the actor's input gradient scattered to every row
+}
+
+// forward runs actor on the live rows of emb and returns the softmax of
+// their logits, entry j belonging to node rows[j]. A nil mask, or one
+// that admits every row or none, runs the actor on emb itself, and the
+// softmax keeps the mask: an all-false mask gives the uniform fallback.
+// The result is valid until the next forward.
+func (l *liveActor) forward(actor *nn.MLP, emb *nn.Mat, mask []bool) []float64 {
+	n := emb.R
+	l.rows = l.rows[:0]
+	for i := 0; i < n; i++ {
+		if mask == nil || mask[i] {
+			l.rows = append(l.rows, i)
+		}
+	}
+	if len(l.rows) == 0 {
+		for i := 0; i < n; i++ {
+			l.rows = append(l.rows, i)
+		}
+	}
+	if len(l.rows) == n {
+		return nn.SoftmaxRowInto(grow(&l.p, n), actor.Forward(emb).Data, mask)
+	}
+	l.x = nn.Reuse(l.x, len(l.rows), emb.C)
+	for j, r := range l.rows {
+		copy(l.x.Row(j), emb.Row(r))
+	}
+	return nn.SoftmaxRowInto(grow(&l.p, len(l.rows)), actor.Forward(l.x).Data, nil)
+}
+
+// probs is forward scattered into a fresh n-row distribution the caller
+// may keep, +0 for every node the actor did not score.
+func (l *liveActor) probs(actor *nn.MLP, emb *nn.Mat, mask []bool) []float64 {
+	out := make([]float64, emb.R)
+	for j, p := range l.forward(actor, emb, mask) {
+		out[l.rows[j]] = p
+	}
+	return out
+}
+
+// backward runs the actor's backward pass from dLogits (one row per
+// actor row of the last forward) and returns ∂L/∂emb for all n rows:
+// the actor's own input gradient when it scored every row, and otherwise
+// that gradient scattered into a zeroed buffer. The caller may modify it.
+func (l *liveActor) backward(actor *nn.MLP, dLogits *nn.Mat, n int) *nn.Mat {
+	dx := actor.Backward(dLogits)
+	if len(l.rows) == n {
+		return dx
+	}
+	l.dEmb = nn.Reuse(l.dEmb, n, dx.C)
+	l.dEmb.Zero()
+	for j, r := range l.rows {
+		copy(l.dEmb.Row(r), dx.Row(j))
+	}
+	return l.dEmb
 }
 
 // SAC is a discrete Soft Actor-Critic agent: twin Q heads, entropy
@@ -247,8 +333,9 @@ type SAC struct {
 	// optimizer groups, collected once.
 	qparams, piparams []*nn.Param
 
+	live liveActor // the actor on the rows the mask admits
 	// Update scratch, reused across calls.
-	probs, vals       []float64
+	vals              []float64
 	dq1, dq2, dLogits *nn.Mat
 }
 
@@ -293,12 +380,12 @@ func polyak(dst, src *nn.MLP, tau float64) {
 // Probs returns the masked SAC policy in a fresh slice the caller may
 // keep.
 func (s *SAC) Probs(g *gnn.Graph, x *nn.Mat, mask []bool) []float64 {
-	return nn.SoftmaxRow(s.Actor.Forward(s.Enc.Forward(g, x)).Data, mask)
+	return s.live.probs(s.Actor, s.Enc.Forward(g, x), mask)
 }
 
 // SelectAction samples from the masked policy.
 func (s *SAC) SelectAction(g *gnn.Graph, x *nn.Mat, mask []bool) int {
-	return sample(s.rng, s.Probs(g, x, mask))
+	return Sample(s.rng, s.Probs(g, x, mask))
 }
 
 // Update performs one SAC step over consecutive transitions (each next
@@ -321,7 +408,7 @@ func (s *SAC) Update(batch []Transition) Stats {
 		}
 		// Target: r + γ Σ_a' π(a'|s') (minQ'(s',a') − α log π(a'|s')).
 		nextEmb := s.Enc.Forward(next.Graph, next.X)
-		np := nn.SoftmaxRowInto(grow(&s.probs, next.Graph.N), s.Actor.Forward(nextEmb).Data, next.Mask)
+		np := s.live.forward(s.Actor, nextEmb, next.Mask)
 		t1 := s.T1.Forward(nextEmb)
 		t2 := s.T2.Forward(nextEmb)
 		target := 0.0
@@ -329,7 +416,8 @@ func (s *SAC) Update(batch []Transition) Stats {
 			if p <= 0 {
 				continue
 			}
-			q := math.Min(t1.At(j, 0), t2.At(j, 0))
+			r := s.live.rows[j]
+			q := math.Min(t1.At(r, 0), t2.At(r, 0))
 			target += p * (q - s.Alpha*math.Log(p))
 		}
 		y := tr.Reward + s.Gamma*target
@@ -361,27 +449,28 @@ func (s *SAC) Update(batch []Transition) Stats {
 	}
 	for _, tr := range batch {
 		emb := s.Enc.Forward(tr.Graph, tr.X)
-		probs := nn.SoftmaxRowInto(grow(&s.probs, tr.Graph.N), s.Actor.Forward(emb).Data, tr.Mask)
+		probs := s.live.forward(s.Actor, emb, tr.Mask)
 		q1 := s.Q1.Forward(emb)
 		q2 := s.Q2.Forward(emb)
 		// L = Σ_a π(a)(α log π(a) − minQ(a)); dL/dlogit via softmax chain.
 		// g_j = π_j [ (α log π_j − q_j) − Σ_k π_k (α log π_k − q_k) + α ]
 		// minus the same for the baseline; compact form below.
 		mean := 0.0
-		vals := grow(&s.vals, tr.Graph.N)
+		vals := grow(&s.vals, len(probs))
 		clear(vals)
 		for j, p := range probs {
 			if p <= 0 {
 				continue
 			}
-			vals[j] = s.Alpha*math.Log(p) - math.Min(q1.At(j, 0), q2.At(j, 0))
+			r := s.live.rows[j]
+			vals[j] = s.Alpha*math.Log(p) - math.Min(q1.At(r, 0), q2.At(r, 0))
 			mean += p * vals[j]
 			st.PolicyLoss += p * vals[j] * scale
 		}
-		s.dLogits = nn.Reuse(s.dLogits, tr.Graph.N, 1)
+		s.dLogits = nn.Reuse(s.dLogits, len(probs), 1)
 		s.dLogits.Zero()
 		for j, p := range probs {
-			if tr.Mask != nil && !tr.Mask[j] {
+			if tr.Mask != nil && !tr.Mask[s.live.rows[j]] {
 				continue
 			}
 			if p <= 0 {

@@ -198,13 +198,32 @@ func TestSampleDistribution(t *testing.T) {
 	p := []float64{0.1, 0.7, 0.2}
 	counts := make([]int, 3)
 	for i := 0; i < 10000; i++ {
-		counts[sample(rng, p)]++
+		counts[Sample(rng, p)]++
 	}
 	if counts[1] < 6500 || counts[1] > 7500 {
 		t.Fatalf("sample counts %v", counts)
 	}
 	if counts[0] < 700 || counts[0] > 1300 {
 		t.Fatalf("sample counts %v", counts)
+	}
+}
+
+// A distribution whose rounded sum falls short of 1 must not hand a
+// draw above that sum to a trailing masked (zero-probability) node.
+func TestSampleNeverPicksZeroProbability(t *testing.T) {
+	p := []float64{0.3, 0.5, 0, 0.1, 0, 0}
+	rng, draws := rand.New(rand.NewSource(8)), rand.New(rand.NewSource(8))
+	for i := 0; i < 1000; i++ {
+		want := 3
+		switch u := draws.Float64(); {
+		case u < p[0]:
+			want = 0
+		case u < p[0]+p[1]:
+			want = 1
+		}
+		if got := Sample(rng, p); got != want {
+			t.Fatalf("draw %d: Sample = %d, want %d", i, got, want)
+		}
 	}
 }
 
